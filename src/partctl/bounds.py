@@ -68,7 +68,8 @@ def dense_core(G):
                 for u in bits(G.neighbor_mask(v) & alive):
                     deg[u] -= 1
                 changed = True
-    assert alive, "peeling emptied the graph"
+    if not alive:
+        raise ConstructionFailedError("peeling emptied the graph")
     comps = components(G, removed=G.full_vertex_mask() & ~alive)
     comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
     core = comps[0]
@@ -307,16 +308,20 @@ def _check_packing(packing, k):
     G = packing.graph
     seen = 0
     for t in packing.trees:
-        assert seen & t == 0, "trees not edge-disjoint"
+        if seen & t:
+            raise ConstructionFailedError("trees not edge-disjoint")
         seen |= t
         # acyclic + n-1 edges + touches every vertex => spanning tree
         touched = 0
         for eid in bits(t):
             u, v = G.edges[eid]
             touched |= (1 << u) | (1 << v)
-        assert touched == G.full_vertex_mask(), "forest does not span"
-        assert _acyclic(G, t), "forest has a cycle"
-    assert seen & packing.leftover == 0
+        if touched != G.full_vertex_mask():
+            raise ConstructionFailedError("forest does not span")
+        if not _acyclic(G, t):
+            raise ConstructionFailedError("forest has a cycle")
+    if seen & packing.leftover:
+        raise ConstructionFailedError("leftover edges overlap the trees")
 
 
 def _acyclic(G, emask):
@@ -652,11 +657,6 @@ def _induced_connected_mask(G, mask):
             nf |= G.neighbor_mask(v)
         frontier = nf & mask & ~seen
     return seen & mask == mask
-
-
-def core_min_degree_floor(G):
-    """The peel guarantee: ceil(d(G)/2) as an integer."""
-    return -(-G.m // G.n)
 
 
 __all__ = [

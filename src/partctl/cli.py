@@ -428,6 +428,17 @@ def cmd_verify(args):
 # ---------------------------------------------------------------- dispatch
 
 
+def _part_count(text):
+    """argparse type for --k and --r: an integer number of parts, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="partctl",
@@ -437,8 +448,8 @@ def build_parser():
 
     q = sub.add_parser("exact", help="exact P / pi / cmc on a graph file")
     q.add_argument("--what", choices=["P", "pi", "cmc"], required=True)
-    q.add_argument("--k", type=int, default=2)
-    q.add_argument("--r", type=int, default=2)
+    q.add_argument("--k", type=_part_count, default=2)
+    q.add_argument("--r", type=_part_count, default=2)
     q.add_argument("--max-size", type=int, default=None,
                    help="override the edge/vertex budget")
     q.add_argument("--input", required=True)
@@ -449,8 +460,8 @@ def build_parser():
     q = sub.add_parser("bounds", help="constructive lower-bound pipelines")
     q.add_argument("--method", choices=["pathcut", "packing", "cmc", "pi"],
                    required=True)
-    q.add_argument("--k", type=int, default=2)
-    q.add_argument("--r", type=int, default=2)
+    q.add_argument("--k", type=_part_count, default=2)
+    q.add_argument("--r", type=_part_count, default=2)
     q.add_argument("--input", required=True)
     q.add_argument("--report", default=None, help="write JSON report here")
     q.set_defaults(func=cmd_bounds)

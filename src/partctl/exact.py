@@ -4,10 +4,26 @@ maximum cuts, and small-scale connected partitions with prescribed sizes.
 All solvers enumerate connected sets with the standard grow-by-boundary,
 forbid-rejected scheme, so each connected set is visited exactly once.  Part 1
 of any partition is anchored at the lowest-id unused element, which kills the
-k! permutation symmetry.  Two prunings keep the 38-edge nonmonotone example
-tractable: rejected elements pinned in too many residual components kill a
-branch, and (for k=2 profiles) a branch whose whole size range is already
-witnessed is skipped.
+k! permutation symmetry.
+
+A search node growing part j of k can be finished only if the residual (the
+unused elements outside the growing part) splits into at most k - j connected
+components.  A rejected element never joins the growing part, so it stays in
+the residual of every descendant; once rejected elements lie in more than k - j
+components the node is dead.  Neither test needs the full decomposition:
+``_count_components`` first closes the components that hold a rejected element,
+stopping as soon as there are too many, then counts the others only up to
+k - j + 1.  The nodes visited, and their order, are those of a full
+decomposition.
+
+For k=2 profiles a branch whose whole range of part-1 sizes is already
+witnessed is skipped.  The edge search is seeded before it starts with the
+paper's split family, ``recursive_k_partitions(G, 2)``: the split sequence of
+the BFS spanning tree at root 0.  On ladders and twin cliques it witnesses the
+balanced keys that the enumeration would reach only in its last branch, so the
+skip fires early.  The profile stays exact: every seed is a connected
+partition, so it adds only true keys, and the skip drops only subtrees whose
+every reachable key is already recorded.
 """
 
 from __future__ import annotations
@@ -19,7 +35,8 @@ from .errors import (
     SizeMismatchError,
     TooLargeError,
 )
-from .graph import bits, components, is_biconnected, is_connected, st_numbering
+from .graph import bits, is_biconnected, is_connected, st_numbering
+from .splits import recursive_k_partitions
 
 DEFAULT_EDGE_BUDGET = {2: 40, 3: 20, 4: 16}
 DEFAULT_VERTEX_BUDGET = {2: 24, 3: 18, 4: 14}
@@ -60,24 +77,44 @@ def cut_size(G, parts):
     return sum(1 for u, v in G.edges if where[u] != where[v])
 
 
-def _edge_set_components(ea, mask):
-    """Components of an edge set under shared-endpoint adjacency."""
-    comps = []
-    rem = mask
-    while rem:
-        start = (rem & -rem).bit_length() - 1
-        comp = 1 << start
-        frontier = ea[start] & rem
-        while frontier & ~comp:
-            comp |= frontier
-            nf = 0
-            for e in bits(frontier):
-                nf |= ea[e]
-            frontier = nf & rem & ~comp
-        comp &= rem
-        comps.append(comp)
-        rem &= ~comp
-    return comps
+def _closure(adj, start, mask):
+    """Elements of ``mask`` reachable from ``start`` (an element of ``mask``)
+    along ``adj``, the tuple of per-element neighbor bitmasks."""
+    seen = 1 << start
+    frontier = adj[start] & mask & ~seen
+    while frontier:
+        seen |= frontier
+        nf = 0
+        while frontier:
+            b = frontier & -frontier
+            nf |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nf & mask & ~seen
+    return seen
+
+
+def _count_components(adj, comp, forb, limit):
+    """Number of connected components of ``comp``, counted no further than
+    ``limit + 1``, or -1 when more than ``limit`` of them hold an element of
+    ``forb`` (a subset of ``comp``)."""
+    count = 0
+    while forb:
+        count += 1
+        if count > limit:
+            return -1
+        c = _closure(adj, (forb & -forb).bit_length() - 1, comp)
+        comp &= ~c
+        forb &= ~c
+    while comp:
+        count += 1
+        if count > limit:
+            break
+        comp &= ~_closure(adj, (comp & -comp).bit_length() - 1, comp)
+    return count
+
+
+def _neighbor_masks(G):
+    return tuple(map(G.neighbor_mask, range(G.n)))
 
 
 def edge_partition_profile(G, k, max_edges=None):
@@ -88,14 +125,20 @@ def edge_partition_profile(G, k, max_edges=None):
     """
     if not is_connected(G):
         raise DisconnectedError("edge partition profile needs a connected graph")
+    result = ProfileResult()
+    if k == 1 and G.m:
+        result.record([G.full_edge_mask()])
+        return result
     budget = max_edges or DEFAULT_EDGE_BUDGET.get(k, FALLBACK_EDGE_BUDGET)
     if G.m > budget:
         raise TooLargeError(f"m={G.m} exceeds budget {budget} for k={k}")
-    result = ProfileResult()
     m = G.m
     if m < k:
         return result
     ea = G.edge_adjacency()
+    if k == 2:
+        for parts in recursive_k_partitions(G, 2):
+            result.record(parts)
 
     def all_sizes_taken(lo, hi):
         for s in range(lo, hi + 1):
@@ -105,16 +148,15 @@ def edge_partition_profile(G, k, max_edges=None):
 
     def grow(rem, acc, j, S, cand, forb):
         comp = rem & ~S
-        comps = _edge_set_components(ea, comp)
-        pinned = sum(1 for c in comps if c & forb)
         parts_left = k - j
-        if comp and len(comps) <= parts_left:
+        count = _count_components(ea, comp, forb, parts_left)
+        if count < 0:
+            return
+        if comp and count <= parts_left:
             if parts_left == 1:
                 result.record(acc + [S, comp])
             else:
                 descend(comp, acc + [S], j + 1)
-        if pinned > parts_left:
-            return
         avail = cand & ~forb & comp
         if k == 2 and avail:
             # every descendant part-1 lies strictly between these sizes
@@ -143,13 +185,17 @@ def vertex_partition_profile(G, k, max_vertices=None):
     """Exact profile of connected vertex partitions; pi(G, k) is its size."""
     if not is_connected(G):
         raise DisconnectedError("vertex partition profile needs a connected graph")
+    result = ProfileResult()
+    if k == 1:
+        result.record([G.full_vertex_mask()])
+        return result
     budget = max_vertices or DEFAULT_VERTEX_BUDGET.get(k, FALLBACK_VERTEX_BUDGET)
     if G.n > budget:
         raise TooLargeError(f"n={G.n} exceeds budget {budget} for k={k}")
-    result = ProfileResult()
     n = G.n
     if n < k:
         return result
+    nbr = _neighbor_masks(G)
 
     def all_sizes_taken(lo, hi):
         for s in range(lo, hi + 1):
@@ -159,16 +205,15 @@ def vertex_partition_profile(G, k, max_vertices=None):
 
     def grow(rem, acc, j, S, cand, forb):
         comp = rem & ~S
-        comps = components(G, removed=G.full_vertex_mask() & ~comp)
-        pinned = sum(1 for c in comps if c & forb)
         parts_left = k - j
-        if comp and len(comps) <= parts_left:
+        count = _count_components(nbr, comp, forb, parts_left)
+        if count < 0:
+            return
+        if comp and count <= parts_left:
             if parts_left == 1:
                 result.record(acc + [S, comp])
             else:
                 descend(comp, acc + [S], j + 1)
-        if pinned > parts_left:
-            return
         avail = cand & ~forb & comp
         if k == 2 and avail:
             ssz = S.bit_count()
@@ -179,48 +224,48 @@ def vertex_partition_profile(G, k, max_vertices=None):
         while avail:
             b = avail & -avail
             v = b.bit_length() - 1
-            grow(rem, acc, j, S | b, cand | G.neighbor_mask(v), f)
+            grow(rem, acc, j, S | b, cand | nbr[v], f)
             avail ^= b
             f |= b
 
     def descend(rem, acc, j):
         anchor = rem & -rem
         v = anchor.bit_length() - 1
-        grow(rem, acc, j, anchor, G.neighbor_mask(v) & rem, 0)
+        grow(rem, acc, j, anchor, nbr[v] & rem, 0)
 
     descend(G.full_vertex_mask(), [], 1)
     return result
 
 
 def iter_connected_vertex_partitions(G, r):
-    """Yield every connected vertex partition into r parts exactly once
+    """Yield every connected vertex partition into r >= 2 parts exactly once
     (parts anchored at lowest unused vertex; no size-based pruning)."""
+    nbr = _neighbor_masks(G)
 
     def grow(rem, acc, j, S, cand, forb):
         comp = rem & ~S
-        comps = components(G, removed=G.full_vertex_mask() & ~comp)
-        pinned = sum(1 for c in comps if c & forb)
         parts_left = r - j
-        if comp and len(comps) <= parts_left:
+        count = _count_components(nbr, comp, forb, parts_left)
+        if count < 0:
+            return
+        if comp and count <= parts_left:
             if parts_left == 1:
                 yield acc + [S, comp]
             else:
                 yield from descend(comp, acc + [S], j + 1)
-        if pinned > parts_left:
-            return
         avail = cand & ~forb & comp
         f = forb
         while avail:
             b = avail & -avail
             v = b.bit_length() - 1
-            yield from grow(rem, acc, j, S | b, cand | G.neighbor_mask(v), f)
+            yield from grow(rem, acc, j, S | b, cand | nbr[v], f)
             avail ^= b
             f |= b
 
     def descend(rem, acc, j):
         anchor = rem & -rem
         v = anchor.bit_length() - 1
-        yield from grow(rem, acc, j, anchor, G.neighbor_mask(v) & rem, 0)
+        yield from grow(rem, acc, j, anchor, nbr[v] & rem, 0)
 
     return descend(G.full_vertex_mask(), [], 1)
 
@@ -229,6 +274,8 @@ def cmc(G, r=2, max_vertices=None):
     """Connected r-partite maximum cut with a witness partition."""
     if not is_connected(G):
         raise DisconnectedError("cmc needs a connected graph")
+    if r == 1:
+        return CutWitness([G.full_vertex_mask()], 0)
     budget = max_vertices or DEFAULT_VERTEX_BUDGET.get(r, FALLBACK_VERTEX_BUDGET)
     if G.n > budget:
         raise TooLargeError(f"n={G.n} exceeds budget {budget} for r={r}")
@@ -248,27 +295,15 @@ def validate_vertex_partition(G, parts, k=None, sizes=None):
         return False
     if sizes is not None and sorted(p.bit_count() for p in parts) != sorted(sizes):
         return False
+    nbr = _neighbor_masks(G)
     union = 0
     for p in parts:
         if p == 0 or (union & p):
             return False
         union |= p
-        if not _induced_connected(G, p):
+        if _closure(nbr, (p & -p).bit_length() - 1, p) != p:
             return False
     return union == G.full_vertex_mask()
-
-
-def _induced_connected(G, mask):
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    frontier = G.neighbor_mask(start) & mask
-    while frontier & ~seen:
-        seen |= frontier
-        nf = 0
-        for v in bits(frontier):
-            nf |= G.neighbor_mask(v)
-        frontier = nf & mask & ~seen
-    return seen & mask == mask
 
 
 def gyori_lovasz(G, sizes, max_vertices=16):
@@ -292,28 +327,31 @@ def gyori_lovasz(G, sizes, max_vertices=16):
     if G.n > max_vertices:
         raise TooLargeError(f"n={G.n} exceeds search budget {max_vertices}")
 
+    nbr = _neighbor_masks(G)
+
     def connected_sets_of_size(allowed, anchor_bit, s):
         """Connected-in-G subsets of `allowed` containing the anchor with
         exactly s vertices."""
         found = []
+        v0 = anchor_bit.bit_length() - 1
 
         def grow(S, cand, forb):
             if S.bit_count() == s:
                 found.append(S)
                 return
-            avail = cand & ~forb & allowed & ~S
-            if S.bit_count() + avail.bit_count() < s:
+            # every descendant of S stays inside this closure
+            if _closure(nbr, v0, allowed & ~forb).bit_count() < s:
                 return
+            avail = cand & ~forb & allowed & ~S
             f = forb
             while avail:
                 b = avail & -avail
                 v = b.bit_length() - 1
-                grow(S | b, cand | G.neighbor_mask(v), f)
+                grow(S | b, cand | nbr[v], f)
                 avail ^= b
                 f |= b
 
-        v0 = anchor_bit.bit_length() - 1
-        grow(anchor_bit, G.neighbor_mask(v0), 0)
+        grow(anchor_bit, nbr[v0], 0)
         return found
 
     def search(rem, remaining_sizes):

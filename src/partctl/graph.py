@@ -104,10 +104,6 @@ class Graph:
     def neighbors(self, v):
         return list(bits(self._nbr_mask[v]))
 
-    def other_end(self, ei, v):
-        u, w = self.edges[ei]
-        return w if u == v else u
-
     def full_vertex_mask(self):
         return (1 << self.n) - 1
 

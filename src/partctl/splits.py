@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import t_value
-from .errors import DisconnectedError, TooSmallError
+from .errors import ConstructionFailedError, DisconnectedError, TooSmallError
 from .graph import (
     Graph,
     RootedTree,
@@ -37,23 +37,35 @@ class SplitSequence:
         return len(self.items)
 
     def check(self):
-        """Assert all four invariants; raises AssertionError on violation."""
+        """Check all four invariants; raises ConstructionFailedError on
+        violation (also under ``python -O``)."""
         T = self.tree
         G = T.graph
         full = G.full_vertex_mask()
         items = self.items
-        assert items, "empty split sequence"
-        assert items[0][2] == T.root
+        if not items:
+            raise ConstructionFailedError("empty split sequence")
+        if items[0][2] != T.root:
+            raise ConstructionFailedError("first pivot is not the root")
         for i, (A, B, v) in enumerate(items):
-            assert A & B == 1 << v
-            assert A | B == full
-            assert _connected_in(G, A) and _connected_in(G, B)
+            if A & B != 1 << v:
+                raise ConstructionFailedError(f"A and B of item {i} do not meet in its pivot")
+            if A | B != full:
+                raise ConstructionFailedError(f"A and B of item {i} do not cover V")
+            if not (_connected_in(G, A) and _connected_in(G, B)):
+                raise ConstructionFailedError(f"A or B of item {i} is not connected")
             for _, Bj, _ in items[i + 1 :]:
-                assert (Bj >> v) & 1, "earlier pivot missing from later B"
+                if not (Bj >> v) & 1:
+                    raise ConstructionFailedError("earlier pivot missing from later B")
         for (A1, B1, _), (A2, B2, _) in zip(items, items[1:]):
-            assert A2 & ~A1 == 0 and A1 != A2, "A sets not strictly decreasing"
-            assert B1 & ~B2 == 0 and B1 != B2, "B sets not strictly increasing"
-        assert len(items) >= t_value(G.n) + 1
+            if A2 & ~A1 or A1 == A2:
+                raise ConstructionFailedError("A sets not strictly decreasing")
+            if B1 & ~B2 or B1 == B2:
+                raise ConstructionFailedError("B sets not strictly increasing")
+        if len(items) < t_value(G.n) + 1:
+            raise ConstructionFailedError(
+                f"length {len(items)} is below t(n) + 1 = {t_value(G.n) + 1}"
+            )
 
 
 def _connected_in(G, mask):
@@ -324,7 +336,8 @@ def tree_lower_bound_partitions(T):
         if ok:
             sink = v
             break
-    assert sink >= 0, "no sink found in Case II"
+    if sink < 0:
+        raise ConstructionFailedError("no sink found in Case II")
     comps = components(G, removed=1 << sink)
     comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
     lo = (n - 1 + 2) // 3  # ceil((n-1)/3)
@@ -348,7 +361,8 @@ def tree_lower_bound_partitions(T):
                 if not (c & pref):
                     suff |= c
             tmask = suff | (1 << sink)
-    assert 3 * tmask.bit_count() >= n - 1, "Case II chunk too small"
+    if 3 * tmask.bit_count() < n - 1:
+        raise ConstructionFailedError("Case II chunk too small")
     return _partitions_from_subtree(G, tmask, sink)
 
 

@@ -150,3 +150,31 @@ def test_verify_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "--suite", "trees", "--seed", "3")
     _, out2, _ = run(capsys, "verify", "--suite", "trees", "--seed", "3")
     assert out1.splitlines()[:-1] == out2.splitlines()[:-1]  # all but timing
+
+
+def test_exact_single_part(tmp_path, capsys):
+    c4 = write_c4(tmp_path)
+    for what, flag in (("P", "--k"), ("pi", "--k"), ("cmc", "--r")):
+        code, out, _ = run(capsys, "exact", "--what", what, flag, "1",
+                           "--input", c4)
+        assert code == 0
+        data = json.loads(out)
+        if what == "cmc":
+            assert data["value"] == 0
+            assert data["witness"]["parts"] == [[0, 1, 2, 3]]
+        else:
+            assert data["profile"] == [[4]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "--what", "P", "--k", "0"),
+    ("exact", "--what", "pi", "--k", "-1"),
+    ("exact", "--what", "cmc", "--r", "0"),
+    ("bounds", "--method", "cmc", "--r", "0"),
+    ("bounds", "--method", "packing", "--k", "0"),
+])
+def test_part_count_below_one_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", write_c4(tmp_path)])
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err

@@ -176,3 +176,25 @@ def test_gyori_lovasz_three_parts():
     parts = gyori_lovasz(G, [1, 2, 2])
     assert parts is not None
     assert validate_vertex_partition(G, parts, 3, sizes=[1, 2, 2])
+
+
+def test_gyori_lovasz_path_needs_more_than_the_frontier():
+    # the 3-vertex part must grow past the first frontier of its anchor
+    parts = gyori_lovasz(path(4), [3, 1])
+    assert parts is not None
+    assert validate_vertex_partition(path(4), parts, 2, sizes=[3, 1])
+    assert [p.bit_count() for p in parts] == [3, 1]
+
+
+def test_single_part_is_the_whole_set():
+    for G in (path(1), path(4), cycle(5), complete(6)):
+        vp = vertex_partition_profile(G, 1)
+        assert vp.profile == {(G.n,)}
+        assert vp.witnesses[(G.n,)] == [G.full_vertex_mask()]
+        w = cmc(G, 1)
+        assert (w.parts, w.cut_size) == ([G.full_vertex_mask()], 0)
+        if G.m:
+            ep = edge_partition_profile(G, 1)
+            assert ep.profile == {(G.m,)}
+            assert ep.witnesses[(G.m,)] == [G.full_edge_mask()]
+    assert edge_partition_profile(path(1), 1).value == 0

@@ -1,0 +1,134 @@
+"""Seeded cross-checks of the exact solvers against brute-force assignment.
+
+The oracle assigns every element to one of k parts in every possible way and
+keeps the assignments whose parts are all nonempty and connected.  It shares
+no code with the solvers, so it checks the search, its prunes and the k=2
+split seeding from outside.
+"""
+
+import itertools
+import random
+
+from partctl import (
+    cmc,
+    cut_size,
+    edge_partition_profile,
+    gyori_lovasz,
+    random_connected_graph,
+    validate_edge_partition,
+    validate_vertex_partition,
+    vertex_partition_profile,
+)
+
+
+def _connected(adj, members):
+    start = members[0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y in members and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(members)
+
+
+def brute_partitions(adj, k):
+    """Every connected k-partition of the elements 0..len(adj)-1 under the
+    adjacency lists ``adj``, once each (element 0 always in part 0)."""
+    for rest in itertools.product(range(k), repeat=len(adj) - 1):
+        parts = [[] for _ in range(k)]
+        for x, j in enumerate((0,) + rest):
+            parts[j].append(x)
+        if all(parts) and all(_connected(adj, p) for p in parts):
+            yield parts
+
+
+def vertex_adj(G):
+    adj = [set() for _ in range(G.n)]
+    for u, v in G.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def edge_adj(G):
+    return [
+        {f for f, other in enumerate(G.edges) if f != e and set(other) & set(ends)}
+        for e, ends in enumerate(G.edges)
+    ]
+
+
+def brute_profile(adj, k):
+    return {
+        tuple(sorted(map(len, parts), reverse=True))
+        for parts in brute_partitions(adj, k)
+    }
+
+
+def key_of(parts):
+    return tuple(sorted((p.bit_count() for p in parts), reverse=True))
+
+
+def graphs(seed, count, max_n, max_m):
+    """Seeded random connected graphs with n <= max_n and m <= max_m."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(3, max_n)
+        m = rng.randint(n - 1, min(max_m, n * (n - 1) // 2))
+        yield random_connected_graph(n, m, seed=seed * 1000 + i)
+
+
+def test_edge_profiles_match_brute_force():
+    for G in graphs(1, 40, 8, 10):
+        adj = edge_adj(G)
+        for k in (2, 3):
+            res = edge_partition_profile(G, k)
+            assert res.profile == brute_profile(adj, k), (G.edges, k)
+            for key, parts in res.witnesses.items():
+                assert validate_edge_partition(G, parts, k)
+                assert key_of(parts) == key
+
+
+def test_vertex_profiles_match_brute_force():
+    for G in graphs(2, 40, 8, 14):
+        adj = vertex_adj(G)
+        for k in (2, 3):
+            res = vertex_partition_profile(G, k)
+            assert res.profile == brute_profile(adj, k), (G.edges, k)
+            for key, parts in res.witnesses.items():
+                assert validate_vertex_partition(G, parts, k)
+                assert key_of(parts) == key
+
+
+def test_cmc_matches_brute_force():
+    for G in graphs(3, 40, 8, 14):
+        adj = vertex_adj(G)
+        for r in (2, 3):
+            best = 0
+            for parts in brute_partitions(adj, r):
+                where = {v: j for j, p in enumerate(parts) for v in p}
+                best = max(best, sum(where[u] != where[v] for u, v in G.edges))
+            w = cmc(G, r)
+            assert w.cut_size == best, (G.edges, r)
+            assert validate_vertex_partition(G, w.parts, r)
+            assert cut_size(G, w.parts) == w.cut_size
+
+
+def test_gyori_lovasz_matches_brute_force():
+    for G in graphs(4, 40, 8, 11):
+        adj = vertex_adj(G)
+        for k in (2, 3):
+            feasible = brute_profile(adj, k)
+            for sizes in itertools.product(range(1, G.n), repeat=k):
+                if sum(sizes) != G.n:
+                    continue
+                parts = gyori_lovasz(G, sizes)
+                assert (parts is not None) == (tuple(sorted(sizes, reverse=True)) in feasible), (
+                    G.edges,
+                    sizes,
+                )
+                if parts is not None:
+                    assert validate_vertex_partition(G, parts, k, sizes=sizes)
+                    assert [p.bit_count() for p in parts] == list(sizes)

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import partctl
 from partctl import (
     Graph,
     RootedTree,
@@ -189,3 +193,26 @@ def test_tree_lower_bound_subset_of_exact():
     exact = tree_exact_P2(T)
     assert len(out) >= t_value(T.graph.n) - 2 == len(exact)
     assert {profile_of(p) for p in out} <= exact
+
+
+def test_check_rejects_truncated_sequence_under_python_O():
+    # assert statements vanish under -O; the invariant checks must not
+    script = (
+        "from partctl import nested_split_sequence, random_tree\n"
+        "from partctl.errors import ConstructionFailedError\n"
+        "assert False, 'asserts are live'\n"
+        "seq = nested_split_sequence(random_tree(12, seed=1))\n"
+        "seq.check()\n"
+        "seq.items = seq.items[:2]\n"
+        "try:\n"
+        "    seq.check()\n"
+        "except ConstructionFailedError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(partctl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
