@@ -24,6 +24,33 @@ balanced keys that the enumeration would reach only in its last branch, so the
 skip fires early.  The profile stays exact: every seed is a connected
 partition, so it adds only true keys, and the skip drops only subtrees whose
 every reachable key is already recorded.
+
+``cmc`` is a branch-and-bound over the same search.  It carries the cut down
+the recursion instead of recounting it at each leaf: ``committed`` is the cut
+of the closed parts, ``bdry`` the number of edges from S (the growing part) to
+the rest of ``rem`` (the vertices not in a closed part).  Adding v to S
+changes ``bdry`` by ``|N(v) & rest| - |N(v) & S|``, and a leaf's cut is
+``committed + bdry``.  A node is pruned when its bound
+
+    committed + E(rem) - E(S) - (|rem| - |S| - parts_left)
+
+is at most the best cut found, where E(X) counts the edges inside X and
+parts_left is the number of parts still to open after S.  The bound is
+admissible: the final part S' grows from S by adding one vertex at a time, and
+each added vertex brings at least one edge inside S'; each of the parts_left
+later parts is connected, so it holds at least its size minus one edges.
+Together at least ``|rem| - |S| - parts_left`` edges of ``rem`` beyond E(S)
+end up inside a part, and the rest of E(rem) is at most the cut still to come.
+The bound needs no graph work: it starts at ``m - n + r``, adding v lowers it
+by ``|N(v) & S| - 1``, and closing S leaves it unchanged.
+
+The incumbent is replaced only by a strictly larger cut.  A pruned subtree
+holds no cut above the incumbent, so it holds nothing that would replace it,
+and pruning at equality is as exact as pruning below.  The witness is the
+first maximum in the order of ``iter_connected_vertex_partitions``, as for an
+exhaustive scan: until that partition is reached the incumbent is below the
+maximum, so the subtrees on its path, whose bounds are at least the maximum,
+are never pruned.
 """
 
 from __future__ import annotations
@@ -34,6 +61,7 @@ from .errors import (
     DisconnectedError,
     SizeMismatchError,
     TooLargeError,
+    TooSmallError,
 )
 from .graph import bits, is_biconnected, is_connected, st_numbering
 from .splits import recursive_k_partitions
@@ -271,7 +299,9 @@ def iter_connected_vertex_partitions(G, r):
 
 
 def cmc(G, r=2, max_vertices=None):
-    """Connected r-partite maximum cut with a witness partition."""
+    """Connected r-partite maximum cut with a witness partition.
+
+    Raises ``TooSmallError`` when G has fewer than r vertices."""
     if not is_connected(G):
         raise DisconnectedError("cmc needs a connected graph")
     if r == 1:
@@ -280,14 +310,47 @@ def cmc(G, r=2, max_vertices=None):
     if G.n > budget:
         raise TooLargeError(f"n={G.n} exceeds budget {budget} for r={r}")
     if G.n < r:
-        raise TooLargeError(f"cannot split {G.n} vertices into {r} connected parts")
-    best = None
-    for parts in iter_connected_vertex_partitions(G, r):
-        inside = sum(G.edge_set_of_vertices(p).bit_count() for p in parts)
-        cut = G.m - inside
-        if best is None or cut > best.cut_size:
-            best = CutWitness(list(parts), cut)
-    return best
+        raise TooSmallError(f"cannot split {G.n} vertices into {r} connected parts")
+    nbr = _neighbor_masks(G)
+    best = -1
+    witness = None
+
+    # committed: cut of the closed parts; bdry: edges from S to rem & ~S;
+    # ub: the cut bound of this node (see the module docstring)
+    def grow(rem, acc, j, S, cand, forb, committed, bdry, ub):
+        nonlocal best, witness
+        comp = rem & ~S
+        parts_left = r - j
+        count = _count_components(nbr, comp, forb, parts_left)
+        if count < 0:
+            return
+        if comp and count <= parts_left:
+            if parts_left == 1:
+                cut = committed + bdry
+                if cut > best:
+                    best, witness = cut, acc + [S, comp]
+            else:
+                descend(comp, acc + [S], j + 1, committed + bdry, ub)
+        avail = cand & ~forb & comp
+        f = forb
+        while avail:
+            b = avail & -avail
+            nv = nbr[b.bit_length() - 1]
+            inner = (nv & S).bit_count()
+            sub = ub + 1 - inner
+            if sub > best:
+                grow(rem, acc, j, S | b, cand | nv, f, committed,
+                     bdry - inner + (nv & comp).bit_count(), sub)
+            avail ^= b
+            f |= b
+
+    def descend(rem, acc, j, committed, ub):
+        anchor = rem & -rem
+        nv = nbr[anchor.bit_length() - 1]
+        grow(rem, acc, j, anchor, nv & rem, 0, committed, (nv & rem).bit_count(), ub)
+
+    descend(G.full_vertex_mask(), [], 1, 0, G.m - G.n + r)
+    return CutWitness(witness, best)
 
 
 def validate_vertex_partition(G, parts, k=None, sizes=None):

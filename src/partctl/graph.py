@@ -16,6 +16,7 @@ from .errors import (
     DuplicateEdgeError,
     EmptySetError,
     NotBiconnectedError,
+    OutOfRangeError,
     ParseError,
     SelfLoopError,
     VertexOutOfRangeError,
@@ -176,6 +177,8 @@ class RootedTree:
     __slots__ = ("graph", "root", "parent")
 
     def __init__(self, graph, root):
+        if not 0 <= root < graph.n:
+            raise OutOfRangeError(f"root {root} out of range for n={graph.n}")
         if graph.m != graph.n - 1:
             raise DisconnectedError("not a tree: m != n-1")
         parent = [-1] * graph.n
@@ -455,6 +458,8 @@ def read_graph(fh):
         n, m = map(int, lines[0].split())
     except ValueError as exc:
         raise ParseError(f"bad header line: {lines[0]!r}") from exc
+    if n < 0 or m < 0:
+        raise ParseError(f"negative count in header line: {lines[0]!r}")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []

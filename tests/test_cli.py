@@ -178,3 +178,17 @@ def test_part_count_below_one_is_usage_error(tmp_path, capsys, argv):
         main([*argv, "--input", write_c4(tmp_path)])
     assert exc.value.code == 2
     assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("4 3\n0 1\n1 2\n2 3\n", ("splits", "--root", "9")),
+    ("-1 0\n", ("exact", "--what", "P")),
+    ("2 1\n0 1\n", ("exact", "--what", "cmc", "--r", "3")),
+], ids=["splits-root-out-of-range", "negative-header", "cmc-fewer-vertices-than-r"])
+def test_bad_input_is_input_error(tmp_path, capsys, text, argv):
+    g = tmp_path / "g.txt"
+    g.write_text(text)
+    code, _, err = run(capsys, *argv, "--input", str(g))
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

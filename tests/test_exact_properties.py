@@ -3,7 +3,9 @@
 The oracle assigns every element to one of k parts in every possible way and
 keeps the assignments whose parts are all nonempty and connected.  It shares
 no code with the solvers, so it checks the search, its prunes and the k=2
-split seeding from outside.
+split seeding from outside.  The ``cmc`` branch-and-bound is also checked
+against the unpruned enumerator ``iter_connected_vertex_partitions``, whose
+first maximum fixes the witness as well as the cut.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from partctl import (
     validate_vertex_partition,
     vertex_partition_profile,
 )
+from partctl.exact import iter_connected_vertex_partitions
 
 
 def _connected(adj, members):
@@ -114,6 +117,18 @@ def test_cmc_matches_brute_force():
             assert w.cut_size == best, (G.edges, r)
             assert validate_vertex_partition(G, w.parts, r)
             assert cut_size(G, w.parts) == w.cut_size
+
+
+def test_cmc_matches_first_maximum_of_enumeration():
+    # the branch-and-bound must return the cut and the witness of an
+    # exhaustive scan: a bound one edge too eager changes one or the other
+    for G in graphs(5, 60, 13, 24):
+        for r in (2, 3, 4):
+            if r > G.n:
+                continue
+            first = max(iter_connected_vertex_partitions(G, r), key=lambda ps: cut_size(G, ps))
+            w = cmc(G, r)
+            assert (w.cut_size, w.parts) == (cut_size(G, first), first), (G.edges, r)
 
 
 def test_gyori_lovasz_matches_brute_force():
