@@ -42,7 +42,6 @@ from .graph import (
     RootedTree,
     bits,
     blocks,
-    build_graph,
     components,
     is_biconnected,
     is_connected,

@@ -26,10 +26,12 @@ from .graph import (
     blocks,
     components,
     is_connected,
+    is_connected_edge_set,
+    is_connected_vertex_set,
     min_degree,
     st_numbering,
 )
-from .splits import validate_edge_partition
+from .splits import profile_of, validate_edge_partition
 
 
 @dataclass
@@ -180,7 +182,7 @@ def path_cut_partitions(G):
         # degenerate low-degree case (m_cut <= 1): split off a single
         # removable edge so at least one valid partition is emitted
         out.append(_single_edge_split(G))
-    pairs = {tuple(sorted((p.bit_count() for p in ps), reverse=True)) for ps in out}
+    pairs = {profile_of(ps) for ps in out}
     report = PathCutReport(
         core_size=core.size,
         delta_core=delta,
@@ -196,8 +198,6 @@ def path_cut_partitions(G):
 def _single_edge_split(G):
     """[{e}, E - e] for a pendant edge, or any edge whose removal keeps the
     remaining edge set connected."""
-    from .graph import is_connected_edge_set
-
     full = G.full_edge_mask()
     for ei, (u, v) in enumerate(G.edges):
         if G.degree(u) == 1 or G.degree(v) == 1:
@@ -621,7 +621,7 @@ def ordered_vertex_partitions(G, k):
             xs.append(xm)
             used |= xm
         xk = hmask & ~used
-        if xk == 0 or not _induced_connected_mask(G, xk):
+        if xk == 0 or not is_connected_vertex_set(G, xk):
             continue
         parts = xs + [xk]
         ok = True
@@ -644,19 +644,6 @@ def ordered_vertex_partitions(G, k):
         out.append(parts)
         report.succeeded += 1
     return out, report
-
-
-def _induced_connected_mask(G, mask):
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    frontier = G.neighbor_mask(start) & mask
-    while frontier & ~seen:
-        seen |= frontier
-        nf = 0
-        for v in bits(frontier):
-            nf |= G.neighbor_mask(v)
-        frontier = nf & mask & ~seen
-    return seen & mask == mask
 
 
 __all__ = [

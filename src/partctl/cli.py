@@ -62,19 +62,11 @@ def _witness_json(witnesses):
 
 def cmd_exact(args):
     G = _load_graph(args.input)
-    if args.what == "P":
-        res = exact.edge_partition_profile(G, args.k, max_edges=args.max_size)
+    if args.what in ("P", "pi"):
+        solve = {"P": exact.edge_partition_profile, "pi": exact.vertex_partition_profile}
+        res = solve[args.what](G, args.k, args.max_size)
         payload = {
-            "what": "P",
-            "k": args.k,
-            "value": res.value,
-            "profile": _profile_json(res.profile),
-            "witness": _witness_json(res.witnesses),
-        }
-    elif args.what == "pi":
-        res = exact.vertex_partition_profile(G, args.k, max_vertices=args.max_size)
-        payload = {
-            "what": "pi",
+            "what": args.what,
             "k": args.k,
             "value": res.value,
             "profile": _profile_json(res.profile),
@@ -99,10 +91,7 @@ def cmd_bounds(args):
         payload = {
             "method": "pathcut",
             "report": vars(rep),
-            "profiles": sorted(
-                {tuple(sorted((p.bit_count() for p in ps), reverse=True)) for ps in parts},
-                reverse=True,
-            ),
+            "profiles": sorted({splits.profile_of(ps) for ps in parts}, reverse=True),
         }
     elif args.method == "packing":
         try:
@@ -121,13 +110,7 @@ def cmd_bounds(args):
                 "k": args.k,
                 "feasible": True,
                 "report": vars(rep),
-                "profiles": sorted(
-                    {
-                        tuple(sorted((p.bit_count() for p in ps), reverse=True))
-                        for ps in parts
-                    },
-                    reverse=True,
-                ),
+                "profiles": sorted({splits.profile_of(ps) for ps in parts}, reverse=True),
             }
     elif args.method == "cmc":
         w = bounds.connected_cut_bound(G, r=args.r)
@@ -454,7 +437,6 @@ def build_parser():
                    help="override the edge/vertex budget")
     q.add_argument("--input", required=True)
     q.add_argument("--out", default=None)
-    q.add_argument("--json", action="store_true", help="JSON output (default)")
     q.set_defaults(func=cmd_exact)
 
     q = sub.add_parser("bounds", help="constructive lower-bound pipelines")

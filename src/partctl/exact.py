@@ -1,10 +1,17 @@
 """Exact oracles: connected edge/vertex partition profiles, connected r-partite
 maximum cuts, and small-scale connected partitions with prescribed sizes.
 
-All solvers enumerate connected sets with the standard grow-by-boundary,
-forbid-rejected scheme, so each connected set is visited exactly once.  Part 1
-of any partition is anchored at the lowest-id unused element, which kills the
-k! permutation symmetry.
+A set of edges is connected exactly when it is a connected set of vertices of
+the line graph L(G), so ``P(G, k) = pi(L(G), k)``: both profiles come from one
+enumerator, ``_connected_partitions``, run over an adjacency tuple (per-element
+neighbor bitmasks).  P runs it over ``G.edge_adjacency()``, pi over
+``G.neighbor_masks``; the unpruned reference scan
+``iter_connected_vertex_partitions`` runs it over the neighbor masks too.
+
+The enumerator grows each connected part by its boundary and forbids every
+element it has rejected, so each connected set is visited exactly once.  Part
+1 of any partition is anchored at the lowest-id unused element, which kills
+the k! permutation symmetry.
 
 A search node growing part j of k can be finished only if the residual (the
 unused elements outside the growing part) splits into at most k - j connected
@@ -25,12 +32,12 @@ skip fires early.  The profile stays exact: every seed is a connected
 partition, so it adds only true keys, and the skip drops only subtrees whose
 every reachable key is already recorded.
 
-``cmc`` is a branch-and-bound over the same search.  It carries the cut down
-the recursion instead of recounting it at each leaf: ``committed`` is the cut
-of the closed parts, ``bdry`` the number of edges from S (the growing part) to
-the rest of ``rem`` (the vertices not in a closed part).  Adding v to S
-changes ``bdry`` by ``|N(v) & rest| - |N(v) & S|``, and a leaf's cut is
-``committed + bdry``.  A node is pruned when its bound
+``cmc`` keeps its own copy of the search, as a branch-and-bound.  It carries
+the cut down the recursion instead of recounting it at each leaf:
+``committed`` is the cut of the closed parts, ``bdry`` the number of edges
+from S (the growing part) to the rest of ``rem`` (the vertices not in a closed
+part).  Adding v to S changes ``bdry`` by ``|N(v) & rest| - |N(v) & S|``,
+and a leaf's cut is ``committed + bdry``.  A node is pruned when its bound
 
     committed + E(rem) - E(S) - (|rem| - |S| - parts_left)
 
@@ -63,8 +70,15 @@ from .errors import (
     TooLargeError,
     TooSmallError,
 )
-from .graph import bits, is_biconnected, is_connected, st_numbering
-from .splits import recursive_k_partitions
+from .graph import (
+    bits,
+    closure,
+    is_biconnected,
+    is_connected,
+    is_connected_vertex_set,
+    st_numbering,
+)
+from .splits import profile_of, recursive_k_partitions
 
 DEFAULT_EDGE_BUDGET = {2: 40, 3: 20, 4: 16}
 DEFAULT_VERTEX_BUDGET = {2: 24, 3: 18, 4: 14}
@@ -84,7 +98,7 @@ class ProfileResult:
         return len(self.profile)
 
     def record(self, parts):
-        key = tuple(sorted((p.bit_count() for p in parts), reverse=True))
+        key = profile_of(parts)
         if key not in self.profile:
             self.profile.add(key)
             self.witnesses[key] = list(parts)
@@ -105,22 +119,6 @@ def cut_size(G, parts):
     return sum(1 for u, v in G.edges if where[u] != where[v])
 
 
-def _closure(adj, start, mask):
-    """Elements of ``mask`` reachable from ``start`` (an element of ``mask``)
-    along ``adj``, the tuple of per-element neighbor bitmasks."""
-    seen = 1 << start
-    frontier = adj[start] & mask & ~seen
-    while frontier:
-        seen |= frontier
-        nf = 0
-        while frontier:
-            b = frontier & -frontier
-            nf |= adj[b.bit_length() - 1]
-            frontier ^= b
-        frontier = nf & mask & ~seen
-    return seen
-
-
 def _count_components(adj, comp, forb, limit):
     """Number of connected components of ``comp``, counted no further than
     ``limit + 1``, or -1 when more than ``limit`` of them hold an element of
@@ -130,19 +128,72 @@ def _count_components(adj, comp, forb, limit):
         count += 1
         if count > limit:
             return -1
-        c = _closure(adj, (forb & -forb).bit_length() - 1, comp)
+        c = closure(adj, (forb & -forb).bit_length() - 1, comp)
         comp &= ~c
         forb &= ~c
     while comp:
         count += 1
         if count > limit:
             break
-        comp &= ~_closure(adj, (comp & -comp).bit_length() - 1, comp)
+        comp &= ~closure(adj, (comp & -comp).bit_length() - 1, comp)
     return count
 
 
-def _neighbor_masks(G):
-    return tuple(map(G.neighbor_mask, range(G.n)))
+def _connected_partitions(adj, size, k, leaf, skip=None):
+    """Call ``leaf(parts)`` once for every partition of the elements
+    0..size-1 into k >= 2 parts that are each connected along ``adj``.
+
+    While part 1 grows, a node whose descendants' part 1 has between lo and
+    hi elements is dropped with its subtree when ``skip(lo, hi)`` is true.
+    """
+
+    def grow(rem, acc, j, S, cand, forb):
+        comp = rem & ~S
+        parts_left = k - j
+        count = _count_components(adj, comp, forb, parts_left)
+        if count < 0:
+            return
+        if comp and count <= parts_left:
+            if parts_left == 1:
+                leaf(acc + [S, comp])
+            else:
+                descend(comp, acc + [S], j + 1)
+        avail = cand & ~forb & comp
+        if skip is not None and avail and j == 1:
+            ssz = S.bit_count()
+            if skip(ssz + 1, min(ssz + (comp & ~forb).bit_count(), size - 1)):
+                return
+        f = forb
+        while avail:
+            b = avail & -avail
+            grow(rem, acc, j, S | b, cand | adj[b.bit_length() - 1], f)
+            avail ^= b
+            f |= b
+
+    def descend(rem, acc, j):
+        anchor = rem & -rem
+        grow(rem, acc, j, anchor, adj[anchor.bit_length() - 1] & rem, 0)
+
+    descend((1 << size) - 1, [], 1)
+
+
+def _profile(adj, size, k, seeds):
+    """Profile of the connected k-partitions of 0..size-1 along ``adj``,
+    after recording ``seeds``, partitions known to be connected."""
+    result = ProfileResult()
+    for parts in seeds:
+        result.record(parts)
+    if not 2 <= k <= size:
+        return result
+
+    def all_sizes_taken(lo, hi):
+        for s in range(lo, hi + 1):
+            if (max(s, size - s), min(s, size - s)) not in result.profile:
+                return False
+        return True
+
+    _connected_partitions(adj, size, k, result.record, all_sizes_taken if k == 2 else None)
+    return result
 
 
 def edge_partition_profile(G, k, max_edges=None):
@@ -153,149 +204,33 @@ def edge_partition_profile(G, k, max_edges=None):
     """
     if not is_connected(G):
         raise DisconnectedError("edge partition profile needs a connected graph")
-    result = ProfileResult()
     if k == 1 and G.m:
-        result.record([G.full_edge_mask()])
-        return result
+        return _profile(None, G.m, 1, [[G.full_edge_mask()]])
     budget = max_edges or DEFAULT_EDGE_BUDGET.get(k, FALLBACK_EDGE_BUDGET)
     if G.m > budget:
         raise TooLargeError(f"m={G.m} exceeds budget {budget} for k={k}")
-    m = G.m
-    if m < k:
-        return result
-    ea = G.edge_adjacency()
-    if k == 2:
-        for parts in recursive_k_partitions(G, 2):
-            result.record(parts)
-
-    def all_sizes_taken(lo, hi):
-        for s in range(lo, hi + 1):
-            if (max(s, m - s), min(s, m - s)) not in result.profile:
-                return False
-        return True
-
-    def grow(rem, acc, j, S, cand, forb):
-        comp = rem & ~S
-        parts_left = k - j
-        count = _count_components(ea, comp, forb, parts_left)
-        if count < 0:
-            return
-        if comp and count <= parts_left:
-            if parts_left == 1:
-                result.record(acc + [S, comp])
-            else:
-                descend(comp, acc + [S], j + 1)
-        avail = cand & ~forb & comp
-        if k == 2 and avail:
-            # every descendant part-1 lies strictly between these sizes
-            ssz = S.bit_count()
-            hi = min(ssz + (comp & ~forb).bit_count(), m - 1)
-            if all_sizes_taken(ssz + 1, hi):
-                return
-        f = forb
-        while avail:
-            b = avail & -avail
-            e = b.bit_length() - 1
-            grow(rem, acc, j, S | b, cand | ea[e], f)
-            avail ^= b
-            f |= b
-
-    def descend(rem, acc, j):
-        anchor = rem & -rem
-        e = anchor.bit_length() - 1
-        grow(rem, acc, j, anchor, ea[e] & rem, 0)
-
-    descend(G.full_edge_mask(), [], 1)
-    return result
+    seeds = recursive_k_partitions(G, 2) if k == 2 and G.m >= 2 else ()
+    return _profile(G.edge_adjacency(), G.m, k, seeds)
 
 
 def vertex_partition_profile(G, k, max_vertices=None):
     """Exact profile of connected vertex partitions; pi(G, k) is its size."""
     if not is_connected(G):
         raise DisconnectedError("vertex partition profile needs a connected graph")
-    result = ProfileResult()
     if k == 1:
-        result.record([G.full_vertex_mask()])
-        return result
+        return _profile(None, G.n, 1, [[G.full_vertex_mask()]])
     budget = max_vertices or DEFAULT_VERTEX_BUDGET.get(k, FALLBACK_VERTEX_BUDGET)
     if G.n > budget:
         raise TooLargeError(f"n={G.n} exceeds budget {budget} for k={k}")
-    n = G.n
-    if n < k:
-        return result
-    nbr = _neighbor_masks(G)
-
-    def all_sizes_taken(lo, hi):
-        for s in range(lo, hi + 1):
-            if (max(s, n - s), min(s, n - s)) not in result.profile:
-                return False
-        return True
-
-    def grow(rem, acc, j, S, cand, forb):
-        comp = rem & ~S
-        parts_left = k - j
-        count = _count_components(nbr, comp, forb, parts_left)
-        if count < 0:
-            return
-        if comp and count <= parts_left:
-            if parts_left == 1:
-                result.record(acc + [S, comp])
-            else:
-                descend(comp, acc + [S], j + 1)
-        avail = cand & ~forb & comp
-        if k == 2 and avail:
-            ssz = S.bit_count()
-            hi = min(ssz + (comp & ~forb).bit_count(), n - 1)
-            if all_sizes_taken(ssz + 1, hi):
-                return
-        f = forb
-        while avail:
-            b = avail & -avail
-            v = b.bit_length() - 1
-            grow(rem, acc, j, S | b, cand | nbr[v], f)
-            avail ^= b
-            f |= b
-
-    def descend(rem, acc, j):
-        anchor = rem & -rem
-        v = anchor.bit_length() - 1
-        grow(rem, acc, j, anchor, nbr[v] & rem, 0)
-
-    descend(G.full_vertex_mask(), [], 1)
-    return result
+    return _profile(G.neighbor_masks, G.n, k, ())
 
 
 def iter_connected_vertex_partitions(G, r):
-    """Yield every connected vertex partition into r >= 2 parts exactly once
-    (parts anchored at lowest unused vertex; no size-based pruning)."""
-    nbr = _neighbor_masks(G)
-
-    def grow(rem, acc, j, S, cand, forb):
-        comp = rem & ~S
-        parts_left = r - j
-        count = _count_components(nbr, comp, forb, parts_left)
-        if count < 0:
-            return
-        if comp and count <= parts_left:
-            if parts_left == 1:
-                yield acc + [S, comp]
-            else:
-                yield from descend(comp, acc + [S], j + 1)
-        avail = cand & ~forb & comp
-        f = forb
-        while avail:
-            b = avail & -avail
-            v = b.bit_length() - 1
-            yield from grow(rem, acc, j, S | b, cand | nbr[v], f)
-            avail ^= b
-            f |= b
-
-    def descend(rem, acc, j):
-        anchor = rem & -rem
-        v = anchor.bit_length() - 1
-        yield from grow(rem, acc, j, anchor, nbr[v] & rem, 0)
-
-    return descend(G.full_vertex_mask(), [], 1)
+    """Every connected vertex partition into r >= 2 parts exactly once, in
+    enumeration order and without pruning: the reference scan for ``cmc``."""
+    out = []
+    _connected_partitions(G.neighbor_masks, G.n, r, out.append)
+    return out
 
 
 def cmc(G, r=2, max_vertices=None):
@@ -311,7 +246,7 @@ def cmc(G, r=2, max_vertices=None):
         raise TooLargeError(f"n={G.n} exceeds budget {budget} for r={r}")
     if G.n < r:
         raise TooSmallError(f"cannot split {G.n} vertices into {r} connected parts")
-    nbr = _neighbor_masks(G)
+    nbr = G.neighbor_masks
     best = -1
     witness = None
 
@@ -358,14 +293,11 @@ def validate_vertex_partition(G, parts, k=None, sizes=None):
         return False
     if sizes is not None and sorted(p.bit_count() for p in parts) != sorted(sizes):
         return False
-    nbr = _neighbor_masks(G)
     union = 0
     for p in parts:
-        if p == 0 or (union & p):
+        if p == 0 or (union & p) or not is_connected_vertex_set(G, p):
             return False
         union |= p
-        if _closure(nbr, (p & -p).bit_length() - 1, p) != p:
-            return False
     return union == G.full_vertex_mask()
 
 
@@ -390,7 +322,7 @@ def gyori_lovasz(G, sizes, max_vertices=16):
     if G.n > max_vertices:
         raise TooLargeError(f"n={G.n} exceeds search budget {max_vertices}")
 
-    nbr = _neighbor_masks(G)
+    nbr = G.neighbor_masks
 
     def connected_sets_of_size(allowed, anchor_bit, s):
         """Connected-in-G subsets of `allowed` containing the anchor with
@@ -403,7 +335,7 @@ def gyori_lovasz(G, sizes, max_vertices=16):
                 found.append(S)
                 return
             # every descendant of S stays inside this closure
-            if _closure(nbr, v0, allowed & ~forb).bit_count() < s:
+            if closure(nbr, v0, allowed & ~forb).bit_count() < s:
                 return
             avail = cand & ~forb & allowed & ~S
             f = forb

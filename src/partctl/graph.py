@@ -1,6 +1,6 @@
 """Graph substrate: immutable simple graphs, bitset vertex/edge sets, and the
-connectivity machinery (components, spanning trees, blocks, st-numbering) the
-rest of the package is built on.
+connectivity machinery (bitmask closure, components, spanning trees, blocks,
+st-numbering) the rest of the package is built on.
 
 Vertex sets and edge sets are plain Python ints used as bitmasks; bit i stands
 for vertex/edge id i.  All tie-breaking is by ascending id so every derived
@@ -49,7 +49,7 @@ class Graph:
         "n",
         "edges",
         "adj",
-        "_nbr_mask",
+        "neighbor_masks",
         "_inc_mask",
         "_edge_adj",
     )
@@ -81,7 +81,7 @@ class Graph:
             inc[u] |= 1 << ei
             inc[v] |= 1 << ei
         self.adj = tuple(tuple(a) for a in adj)
-        self._nbr_mask = tuple(nbr)
+        self.neighbor_masks = tuple(nbr)  # per-vertex neighbor bitmasks
         self._inc_mask = tuple(inc)
         self._edge_adj = None
 
@@ -96,14 +96,14 @@ class Graph:
         return len(self.adj[v])
 
     def neighbor_mask(self, v):
-        return self._nbr_mask[v]
+        return self.neighbor_masks[v]
 
     def incident_mask(self, v):
         """Bitmask of edge ids incident to v."""
         return self._inc_mask[v]
 
     def neighbors(self, v):
-        return list(bits(self._nbr_mask[v]))
+        return list(bits(self.neighbor_masks[v]))
 
     def full_vertex_mask(self):
         return (1 << self.n) - 1
@@ -166,11 +166,6 @@ class Graph:
         return hash((self.n, self.edges))
 
 
-def build_graph(n, edges):
-    """Canonical Graph constructor (validates, stores min endpoint first)."""
-    return Graph(n, edges)
-
-
 class RootedTree:
     """A tree (m = n-1, connected) with a designated root and parent map."""
 
@@ -206,20 +201,27 @@ class RootedTree:
         return f"RootedTree(n={self.n}, root={self.root})"
 
 
+def closure(adj, start, mask):
+    """Elements of ``mask`` reachable from ``start`` (an element of ``mask``)
+    along ``adj``, the tuple of per-element neighbor bitmasks."""
+    seen = 1 << start
+    frontier = adj[start] & mask & ~seen
+    while frontier:
+        seen |= frontier
+        nf = 0
+        while frontier:
+            b = frontier & -frontier
+            nf |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nf & mask & ~seen
+    return seen
+
+
 def is_connected_vertex_set(G, S):
     """True iff the subgraph induced by vertex bitmask S is connected."""
     if S == 0:
         raise EmptySetError("empty vertex set")
-    start = (S & -S).bit_length() - 1
-    seen = 1 << start
-    frontier = G.neighbor_mask(start) & S
-    while frontier & ~seen:
-        seen |= frontier
-        nf = 0
-        for v in bits(frontier):
-            nf |= G.neighbor_mask(v)
-        frontier = nf & S & ~seen
-    return seen & S == S
+    return closure(G.neighbor_masks, (S & -S).bit_length() - 1, S) == S
 
 
 def is_connected_edge_set(G, F):
@@ -227,17 +229,7 @@ def is_connected_edge_set(G, F):
     vertices they touch."""
     if F == 0:
         raise EmptySetError("empty edge set")
-    ea = G.edge_adjacency()
-    start = (F & -F).bit_length() - 1
-    seen = 1 << start
-    frontier = ea[start] & F
-    while frontier & ~seen:
-        seen |= frontier
-        nf = 0
-        for e in bits(frontier):
-            nf |= ea[e]
-        frontier = nf & F & ~seen
-    return seen & F == F
+    return closure(G.edge_adjacency(), (F & -F).bit_length() - 1, F) == F
 
 
 def components(G, removed=0):
@@ -246,25 +238,15 @@ def components(G, removed=0):
     alive = G.full_vertex_mask() & ~removed
     comps = []
     while alive:
-        start = (alive & -alive).bit_length() - 1
-        comp = 1 << start
-        frontier = G.neighbor_mask(start) & alive
-        while frontier & ~comp:
-            comp |= frontier
-            nf = 0
-            for v in bits(frontier):
-                nf |= G.neighbor_mask(v)
-            frontier = nf & alive & ~comp
-        comp &= alive
+        comp = closure(G.neighbor_masks, (alive & -alive).bit_length() - 1, alive)
         comps.append(comp)
         alive &= ~comp
     return comps
 
 
 def is_connected(G):
-    if G.n == 0:
-        return False
-    return len(components(G)) == 1
+    full = G.full_vertex_mask()
+    return G.n > 0 and closure(G.neighbor_masks, 0, full) == full
 
 
 def spanning_tree(G, root=0):

@@ -16,6 +16,7 @@ from .graph import (
     bits,
     components,
     is_connected_edge_set,
+    is_connected_vertex_set,
     spanning_tree,
 )
 
@@ -52,7 +53,7 @@ class SplitSequence:
                 raise ConstructionFailedError(f"A and B of item {i} do not meet in its pivot")
             if A | B != full:
                 raise ConstructionFailedError(f"A and B of item {i} do not cover V")
-            if not (_connected_in(G, A) and _connected_in(G, B)):
+            if not (is_connected_vertex_set(G, A) and is_connected_vertex_set(G, B)):
                 raise ConstructionFailedError(f"A or B of item {i} is not connected")
             for _, Bj, _ in items[i + 1 :]:
                 if not (Bj >> v) & 1:
@@ -66,21 +67,6 @@ class SplitSequence:
             raise ConstructionFailedError(
                 f"length {len(items)} is below t(n) + 1 = {t_value(G.n) + 1}"
             )
-
-
-def _connected_in(G, mask):
-    if mask == 0:
-        return False
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    frontier = G.neighbor_mask(start) & mask
-    while frontier & ~seen:
-        seen |= frontier
-        nf = 0
-        for v in bits(frontier):
-            nf |= G.neighbor_mask(v)
-        frontier = nf & mask & ~seen
-    return seen & mask == mask
 
 
 def nested_split_sequence(T):
@@ -188,11 +174,6 @@ def centroid(T):
     return best_v
 
 
-def _branch_components(T, v):
-    """Components of T - v as vertex bitmasks, via subtree sizes."""
-    return components(T.graph, removed=1 << v)
-
-
 def recursive_k_partitions(G, k):
     """Connected k-edge-partitions with pairwise distinct ordered size tuples.
 
@@ -212,7 +193,7 @@ def recursive_k_partitions(G, k):
     n = G.n
     T = spanning_tree(G, 0)
     v = centroid(T)
-    comps = _branch_components(T, v)
+    comps = components(T.graph, removed=1 << v)
     comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
     vbit = 1 << v
     if len(comps) == 1:

@@ -5,17 +5,23 @@ keeps the assignments whose parts are all nonempty and connected.  It shares
 no code with the solvers, so it checks the search, its prunes and the k=2
 split seeding from outside.  The ``cmc`` branch-and-bound is also checked
 against the unpruned enumerator ``iter_connected_vertex_partitions``, whose
-first maximum fixes the witness as well as the cut.
+first maximum fixes the witness as well as the cut.  The edge profile is
+checked against the vertex profile of the line graph, and the bitmask
+connectivity primitives against a set-based BFS.
 """
 
 import itertools
 import random
 
 from partctl import (
+    Graph,
     cmc,
+    components,
     cut_size,
     edge_partition_profile,
     gyori_lovasz,
+    is_connected_edge_set,
+    is_connected_vertex_set,
     random_connected_graph,
     validate_edge_partition,
     validate_vertex_partition,
@@ -147,3 +153,46 @@ def test_gyori_lovasz_matches_brute_force():
                 if parts is not None:
                     assert validate_vertex_partition(G, parts, k, sizes=sizes)
                     assert [p.bit_count() for p in parts] == list(sizes)
+
+
+def line_graph(G):
+    """L(G) as a Graph: vertex e of L(G) is edge e of G."""
+    ends = [set(e) for e in G.edges]
+    return Graph(G.m, [(e, f) for f in range(G.m) for e in range(f) if ends[e] & ends[f]])
+
+
+def test_edge_profile_is_vertex_profile_of_line_graph():
+    # a connected edge set is a connected vertex set of L(G): P(G,k) = pi(L(G),k)
+    for G in graphs(6, 40, 9, 12):
+        L = line_graph(G)
+        for k in (2, 3):
+            P = edge_partition_profile(G, k).profile
+            assert P == vertex_partition_profile(L, k).profile, (G.edges, k)
+
+
+def members(mask):
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def test_connectivity_primitives_match_bfs():
+    rng = random.Random(7)
+    for G in graphs(7, 40, 10, 18):
+        vadj, eadj = vertex_adj(G), edge_adj(G)
+        for _ in range(20):
+            S = rng.randrange(1, 1 << G.n)
+            assert is_connected_vertex_set(G, S) == _connected(vadj, members(S)), (G.edges, S)
+            F = rng.randrange(1, 1 << G.m)
+            assert is_connected_edge_set(G, F) == _connected(eadj, members(F)), (G.edges, F)
+            removed = rng.randrange(0, 1 << G.n)
+            alive = G.full_vertex_mask() & ~removed
+            comps = components(G, removed)
+            assert comps == sorted(comps, key=lambda c: c & -c)
+            assert sum(c.bit_count() for c in comps) == alive.bit_count()
+            where = {}
+            for i, c in enumerate(comps):
+                assert c & alive == c and _connected(vadj, members(c)), (G.edges, removed)
+                where.update((v, i) for v in members(c))
+            assert len(where) == alive.bit_count()
+            for u, v in G.edges:
+                if u in where and v in where:
+                    assert where[u] == where[v], (G.edges, removed)
