@@ -155,6 +155,23 @@ def count_partitions(n, k, allow_zero=False):
     return p[n][k]
 
 
+def ascending_compositions(total, k):
+    """Nondecreasing k-tuples of nonnegative ints summing to total: the
+    integer partitions that ``count_partitions(total, k, allow_zero=True)``
+    counts, each once."""
+
+    def rec(rest, parts_left, minimum):
+        if parts_left == 1:
+            if rest >= minimum:
+                yield (rest,)
+            return
+        for a in range(minimum, rest // parts_left + 1):
+            for tail in rec(rest - a, parts_left - 1, a):
+                yield (a,) + tail
+
+    return rec(total, k, 0)
+
+
 def erdos_lehner_estimate(n, k):
     """C(n-1, k-1) / k! as a float."""
     return math.comb(n - 1, k - 1) / math.factorial(k)

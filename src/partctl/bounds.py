@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .arith import ascending_compositions
 from .errors import (
     ConstructionFailedError,
     DisconnectedError,
@@ -342,21 +343,6 @@ def _acyclic(G, emask):
     return True
 
 
-def _ascending_compositions(total, k):
-    """Nondecreasing k-tuples of nonnegative ints summing to total."""
-
-    def rec(rest, parts_left, minimum):
-        if parts_left == 1:
-            if rest >= minimum:
-                yield (rest,)
-            return
-        for a in range(minimum, rest // parts_left + 1):
-            for tail in rec(rest - a, parts_left - 1, a):
-                yield (a,) + tail
-
-    return rec(total, k, 0)
-
-
 @dataclass
 class PackingReport:
     core_size: int
@@ -392,7 +378,7 @@ def packing_partitions(G, k):
     outside = G.full_edge_mask() & ~core_edges
 
     out = []
-    for sizes in _ascending_compositions(len(leftover_ids), k):
+    for sizes in ascending_compositions(len(leftover_ids), k):
         blocks_, at = [], 0
         for a in sizes:
             bm = 0

@@ -411,8 +411,8 @@ def cmd_verify(args):
 # ---------------------------------------------------------------- dispatch
 
 
-def _part_count(text):
-    """argparse type for --k and --r: an integer number of parts, at least 1."""
+def _at_least_one(text):
+    """argparse type for --k, --r and --max-size: an integer, at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -431,9 +431,9 @@ def build_parser():
 
     q = sub.add_parser("exact", help="exact P / pi / cmc on a graph file")
     q.add_argument("--what", choices=["P", "pi", "cmc"], required=True)
-    q.add_argument("--k", type=_part_count, default=2)
-    q.add_argument("--r", type=_part_count, default=2)
-    q.add_argument("--max-size", type=int, default=None,
+    q.add_argument("--k", type=_at_least_one, default=2)
+    q.add_argument("--r", type=_at_least_one, default=2)
+    q.add_argument("--max-size", type=_at_least_one, default=None,
                    help="override the edge/vertex budget")
     q.add_argument("--input", required=True)
     q.add_argument("--out", default=None)
@@ -442,8 +442,8 @@ def build_parser():
     q = sub.add_parser("bounds", help="constructive lower-bound pipelines")
     q.add_argument("--method", choices=["pathcut", "packing", "cmc", "pi"],
                    required=True)
-    q.add_argument("--k", type=_part_count, default=2)
-    q.add_argument("--r", type=_part_count, default=2)
+    q.add_argument("--k", type=_at_least_one, default=2)
+    q.add_argument("--r", type=_at_least_one, default=2)
     q.add_argument("--input", required=True)
     q.add_argument("--report", default=None, help="write JSON report here")
     q.set_defaults(func=cmd_bounds)

@@ -23,14 +23,31 @@ stopping as soon as there are too many, then counts the others only up to
 k - j + 1.  The nodes visited, and their order, are those of a full
 decomposition.
 
-For k=2 profiles a branch whose whole range of part-1 sizes is already
-witnessed is skipped.  The edge search is seeded before it starts with the
+A profile search drops a subtree once every key it can reach is witnessed.
+At a node growing part j, the sizes c of the closed parts 1..j-1 are fixed.
+Its children end part j with s elements, |S| < s <= |S| + |free|, where free
+holds the unused elements outside S that have not been rejected, and
+s <= |rem| - parts_left, because each of the parts_left parts still to open
+needs an element of ``rem`` (the elements not in a closed part).  Those parts
+split the other |rem| - s elements.  So every key below the node is the
+sorted c + (s,) + p for such an s and an integer partition p of |rem| - s
+into parts_left positive parts, and when all of them are in the profile the
+subtree can add nothing: the skip is admissible at every level and for every
+k.  For k=2 it is a range of part-1 sizes.  Being fully witnessed is monotone,
+as the profile only grows, so ``_profile`` remembers the (c, s) pairs found
+full; for the others it remembers the profile size at the last failed check
+and checks again only once the profile has grown.
+
+Without seeds every witness is the first partition with its key in
+enumeration order, as in the unpruned scan: a key enters the profile only at
+a leaf, so a subtree dropped because its keys are all recorded holds no first
+occurrence.  The edge search at k=2 is seeded before it starts with the
 paper's split family, ``recursive_k_partitions(G, 2)``: the split sequence of
 the BFS spanning tree at root 0.  On ladders and twin cliques it witnesses the
-balanced keys that the enumeration would reach only in its last branch, so the
-skip fires early.  The profile stays exact: every seed is a connected
-partition, so it adds only true keys, and the skip drops only subtrees whose
-every reachable key is already recorded.
+balanced keys that the enumeration would reach only in its last branch, so
+the skip fires early.  The profile stays exact: every seed is a connected
+partition, so it adds only true keys.  Seeds change which partition
+witnesses a seeded key, so k >= 3 is not seeded and keeps its witnesses.
 
 ``cmc`` keeps its own copy of the search, as a branch-and-bound.  It carries
 the cut down the recursion instead of recounting it at each leaf:
@@ -64,6 +81,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .arith import ascending_compositions
 from .errors import (
     DisconnectedError,
     SizeMismatchError,
@@ -143,13 +161,15 @@ def _connected_partitions(adj, size, k, leaf, skip=None):
     """Call ``leaf(parts)`` once for every partition of the elements
     0..size-1 into k >= 2 parts that are each connected along ``adj``.
 
-    While part 1 grows, a node whose descendants' part 1 has between lo and
-    hi elements is dropped with its subtree when ``skip(lo, hi)`` is true.
+    At a node growing part j, ``closed`` is the descending tuple of the sizes
+    of parts 1..j-1.  When the node's children would end part j with between
+    lo and hi elements, they are dropped with their subtrees if
+    ``skip(closed, lo, hi)`` is true.
     """
 
-    def grow(rem, acc, j, S, cand, forb):
+    # cap: the most elements part j can end with, leaving one per later part
+    def grow(rem, acc, closed, cap, parts_left, S, cand, forb):
         comp = rem & ~S
-        parts_left = k - j
         count = _count_components(adj, comp, forb, parts_left)
         if count < 0:
             return
@@ -157,24 +177,27 @@ def _connected_partitions(adj, size, k, leaf, skip=None):
             if parts_left == 1:
                 leaf(acc + [S, comp])
             else:
-                descend(comp, acc + [S], j + 1)
+                descend(comp, acc + [S])
         avail = cand & ~forb & comp
-        if skip is not None and avail and j == 1:
+        if skip is not None and avail:
             ssz = S.bit_count()
-            if skip(ssz + 1, min(ssz + (comp & ~forb).bit_count(), size - 1)):
+            hi = ssz + (comp & ~forb).bit_count()
+            if skip(closed, ssz + 1, hi if hi < cap else cap):
                 return
         f = forb
         while avail:
             b = avail & -avail
-            grow(rem, acc, j, S | b, cand | adj[b.bit_length() - 1], f)
+            grow(rem, acc, closed, cap, parts_left, S | b, cand | adj[b.bit_length() - 1], f)
             avail ^= b
             f |= b
 
-    def descend(rem, acc, j):
+    def descend(rem, acc):
+        parts_left = k - 1 - len(acc)
         anchor = rem & -rem
-        grow(rem, acc, j, anchor, adj[anchor.bit_length() - 1] & rem, 0)
+        grow(rem, acc, profile_of(acc), rem.bit_count() - parts_left, parts_left,
+             anchor, adj[anchor.bit_length() - 1] & rem, 0)
 
-    descend((1 << size) - 1, [], 1)
+    descend((1 << size) - 1, [])
 
 
 def _profile(adj, size, k, seeds):
@@ -185,14 +208,29 @@ def _profile(adj, size, k, seeds):
         result.record(parts)
     if not 2 <= k <= size:
         return result
+    profile = result.profile
+    # (closed, s) -> the profile size when a key was last found missing, or -1
+    # once every key is in (final, as the profile only grows)
+    checked = {}
 
-    def all_sizes_taken(lo, hi):
+    def all_keys_taken(closed, lo, hi):
+        n = len(profile)
         for s in range(lo, hi + 1):
-            if (max(s, size - s), min(s, size - s)) not in result.profile:
+            seen = checked.get((closed, s))
+            if seen == -1:
+                continue
+            if seen == n:
                 return False
+            head = closed + (s,)
+            later = k - len(head)
+            for a in ascending_compositions(size - sum(head) - later, later):
+                if tuple(sorted(head + tuple(1 + x for x in a), reverse=True)) not in profile:
+                    checked[closed, s] = n
+                    return False
+            checked[closed, s] = -1
         return True
 
-    _connected_partitions(adj, size, k, result.record, all_sizes_taken if k == 2 else None)
+    _connected_partitions(adj, size, k, result.record, all_keys_taken)
     return result
 
 
@@ -206,7 +244,8 @@ def edge_partition_profile(G, k, max_edges=None):
         raise DisconnectedError("edge partition profile needs a connected graph")
     if k == 1 and G.m:
         return _profile(None, G.m, 1, [[G.full_edge_mask()]])
-    budget = max_edges or DEFAULT_EDGE_BUDGET.get(k, FALLBACK_EDGE_BUDGET)
+    budget = (DEFAULT_EDGE_BUDGET.get(k, FALLBACK_EDGE_BUDGET)
+              if max_edges is None else max_edges)
     if G.m > budget:
         raise TooLargeError(f"m={G.m} exceeds budget {budget} for k={k}")
     seeds = recursive_k_partitions(G, 2) if k == 2 and G.m >= 2 else ()
@@ -219,7 +258,8 @@ def vertex_partition_profile(G, k, max_vertices=None):
         raise DisconnectedError("vertex partition profile needs a connected graph")
     if k == 1:
         return _profile(None, G.n, 1, [[G.full_vertex_mask()]])
-    budget = max_vertices or DEFAULT_VERTEX_BUDGET.get(k, FALLBACK_VERTEX_BUDGET)
+    budget = (DEFAULT_VERTEX_BUDGET.get(k, FALLBACK_VERTEX_BUDGET)
+              if max_vertices is None else max_vertices)
     if G.n > budget:
         raise TooLargeError(f"n={G.n} exceeds budget {budget} for k={k}")
     return _profile(G.neighbor_masks, G.n, k, ())
@@ -241,7 +281,8 @@ def cmc(G, r=2, max_vertices=None):
         raise DisconnectedError("cmc needs a connected graph")
     if r == 1:
         return CutWitness([G.full_vertex_mask()], 0)
-    budget = max_vertices or DEFAULT_VERTEX_BUDGET.get(r, FALLBACK_VERTEX_BUDGET)
+    budget = (DEFAULT_VERTEX_BUDGET.get(r, FALLBACK_VERTEX_BUDGET)
+              if max_vertices is None else max_vertices)
     if G.n > budget:
         raise TooLargeError(f"n={G.n} exceeds budget {budget} for r={r}")
     if G.n < r:

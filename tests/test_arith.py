@@ -3,6 +3,7 @@ import math
 import pytest
 
 from partctl.arith import (
+    ascending_compositions,
     build_interval_table,
     build_t_table,
     count_partitions,
@@ -87,12 +88,14 @@ def test_count_partitions_against_enumeration():
 
     for n in range(1, 12):
         for k in range(1, 6):
-            brute = sum(
-                1
+            brute = [
+                c
                 for c in itertools.combinations_with_replacement(range(1, n + 1), k)
                 if sum(c) == n
-            )
-            assert count_partitions(n, k) == brute, (n, k)
+            ]
+            assert count_partitions(n, k) == len(brute), (n, k)
+            shifted = [tuple(1 + a for a in c) for c in ascending_compositions(n - k, k)]
+            assert sorted(shifted) == brute, (n, k)
 
 
 def test_erdos_lehner_estimate():

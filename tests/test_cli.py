@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from partctl import make_nonmonotone_example
 from partctl.cli import main
+from partctl.graph import write_graph
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -166,12 +171,26 @@ def test_exact_single_part(tmp_path, capsys):
             assert data["profile"] == [[4]]
 
 
+def test_exact_k3_witnesses_frozen(tmp_path, capsys):
+    # the k >= 3 search is not seeded, so its witnesses are the first
+    # occurrences of the unpruned scan; a prune that moves one shows here
+    g = tmp_path / "nonmonotone.txt"
+    with open(g, "w") as fh:
+        write_graph(make_nonmonotone_example()[0], fh)
+    code, out, _ = run(capsys, "exact", "--what", "P", "--k", "3", "--max-size", "38",
+                       "--input", str(g))
+    assert code == 0
+    assert out == (GOLDEN / "nonmonotone_P_k3.json").read_text()
+
+
 @pytest.mark.parametrize("argv", [
     ("exact", "--what", "P", "--k", "0"),
     ("exact", "--what", "pi", "--k", "-1"),
     ("exact", "--what", "cmc", "--r", "0"),
     ("bounds", "--method", "cmc", "--r", "0"),
     ("bounds", "--method", "packing", "--k", "0"),
+    ("exact", "--what", "P", "--max-size", "0"),
+    ("exact", "--what", "pi", "--max-size", "-3"),
 ])
 def test_part_count_below_one_is_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from partctl import (
     edge_partition_profile,
     gyori_lovasz,
     is_biconnected,
+    make_nonmonotone_example,
     mask_of,
     random_connected_graph,
     random_tree,
@@ -17,7 +18,7 @@ from partctl import (
     vertex_partition_profile,
 )
 from partctl.errors import DisconnectedError, SizeMismatchError, TooLargeError
-from partctl.exact import cut_size, iter_connected_vertex_partitions
+from partctl.exact import ProfileResult, cut_size, iter_connected_vertex_partitions
 
 
 def path(n):
@@ -91,6 +92,27 @@ def test_budget_errors():
     assert edge_partition_profile(K10, 2, max_edges=45).value == 22
     with pytest.raises(DisconnectedError):
         edge_partition_profile(Graph(4, [(0, 1), (2, 3)]), 2)
+    for solve in (edge_partition_profile, vertex_partition_profile, cmc):
+        with pytest.raises(TooLargeError):
+            solve(path(4), 2, 0)  # a zero budget is a budget, not the default
+
+
+def test_skip_bounds_the_leaves_visited(monkeypatch):
+    # a skip that fires less keeps every profile exact, so only the work shows
+    # it; unpruned, the three k >= 3 cases visit 50185, 2907 and 1464 leaves
+    leaves = []
+    record = ProfileResult.record
+    monkeypatch.setattr(ProfileResult, "record",
+                        lambda self, parts: leaves.append(parts) or record(self, parts))
+    for solve, G, k, most in (
+        (edge_partition_profile, make_nonmonotone_example()[0], 2, 20),
+        (edge_partition_profile, random_connected_graph(8, 12, seed=3), 4, 107),
+        (vertex_partition_profile, random_connected_graph(13, 18, seed=3), 3, 30),
+        (vertex_partition_profile, random_connected_graph(12, 16, seed=4), 4, 39),
+    ):
+        leaves.clear()
+        solve(G, k)
+        assert len(leaves) <= most, (k, len(leaves))
 
 
 def test_vertex_profile_path():

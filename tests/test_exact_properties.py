@@ -89,26 +89,27 @@ def graphs(seed, count, max_n, max_m):
         yield random_connected_graph(n, m, seed=seed * 1000 + i)
 
 
+def check_profiles(G, solve, adj, validate, ks):
+    for k in ks:
+        res = solve(G, k)
+        assert res.profile == brute_profile(adj, k), (G.edges, k)
+        for key, parts in res.witnesses.items():
+            assert validate(G, parts, k)
+            assert key_of(parts) == key
+
+
 def test_edge_profiles_match_brute_force():
-    for G in graphs(1, 40, 8, 10):
-        adj = edge_adj(G)
-        for k in (2, 3):
-            res = edge_partition_profile(G, k)
-            assert res.profile == brute_profile(adj, k), (G.edges, k)
-            for key, parts in res.witnesses.items():
-                assert validate_edge_partition(G, parts, k)
-                assert key_of(parts) == key
+    # the oracle tries k^(m-1) assignments, so k=4 runs on smaller graphs
+    for seed, max_n, max_m, ks in ((1, 8, 10, (2, 3)), (11, 7, 8, (4,))):
+        for G in graphs(seed, 40, max_n, max_m):
+            check_profiles(G, edge_partition_profile, edge_adj(G), validate_edge_partition, ks)
 
 
 def test_vertex_profiles_match_brute_force():
-    for G in graphs(2, 40, 8, 14):
-        adj = vertex_adj(G)
-        for k in (2, 3):
-            res = vertex_partition_profile(G, k)
-            assert res.profile == brute_profile(adj, k), (G.edges, k)
-            for key, parts in res.witnesses.items():
-                assert validate_vertex_partition(G, parts, k)
-                assert key_of(parts) == key
+    for seed, max_n, max_m, ks in ((2, 8, 14, (2, 3)), (12, 7, 14, (4,))):
+        for G in graphs(seed, 40, max_n, max_m):
+            check_profiles(G, vertex_partition_profile, vertex_adj(G),
+                           validate_vertex_partition, ks)
 
 
 def test_cmc_matches_brute_force():
@@ -168,6 +169,23 @@ def test_edge_profile_is_vertex_profile_of_line_graph():
         for k in (2, 3):
             P = edge_partition_profile(G, k).profile
             assert P == vertex_partition_profile(L, k).profile, (G.edges, k)
+
+
+def test_witnesses_are_first_occurrences_of_the_unpruned_scan():
+    # the skip drops only subtrees whose keys are all recorded, so without
+    # seeds each witness is the first partition with its key in enumeration
+    # order; P at k=2 is seeded, so only its profile is compared
+    for G in graphs(8, 40, 9, 12):
+        L = line_graph(G)
+        for k in (2, 3, 4):
+            pi, P = vertex_partition_profile(G, k), edge_partition_profile(G, k)
+            for H, res in ((G, pi), (L, P)):
+                first = {}
+                for parts in iter_connected_vertex_partitions(H, k) if k <= H.n else ():
+                    first.setdefault(key_of(parts), parts)
+                assert res.profile == first.keys(), (G.edges, H is L, k)
+                if H is G or k > 2:
+                    assert res.witnesses == first, (G.edges, H is L, k)
 
 
 def members(mask):
