@@ -219,44 +219,77 @@ class TreePacking:
 
 def spanning_tree_packing(G, k):
     """k edge-disjoint spanning trees via incremental matroid-union
-    augmentation (exchange-path BFS over forest cycles); deterministic edge
-    order.  Raises PackingInfeasibleError with the final forests if G has no
-    such packing."""
+    augmentation; deterministic edge order.  Raises PackingInfeasibleError
+    with the final forests if G has no such packing.
+
+    Edges are added in id order.  For edge e, a BFS over exchange edges
+    (``prevE``) looks, for each edge f it reaches, at every forest i that
+    does not own f: if f joins two trees of forest i, the chain of swaps
+    back to e is applied; otherwise the edges on f's cycle in forest i are
+    queued.  An edge for which no swap chain exists stays in the leftover.
+
+    Cycle queries read rooted forests: each forest gets, per vertex, its
+    parent, parent edge, depth and tree root, built on the first query that
+    needs it and dropped only when an augmentation inserts into or removes
+    from that forest.  A query compares roots to detect different trees and
+    otherwise climbs from both ends to their lowest common ancestor.  A
+    forest has one path between two vertices, and ``forest_path`` lists it
+    from ``dst`` back to ``src``, so the BFS queues the same edges in the
+    same order whichever vertex a tree is rooted at, and the trees, the
+    leftover and the infeasible forests depend only on the edge order."""
     if not is_connected(G):
         raise DisconnectedError("packing needs a connected graph")
     n, m = G.n, G.m
     owner = [-1] * m
     fadj = [[[] for _ in range(n)] for _ in range(k)]  # forest -> vertex -> [(nbr, eid)]
+    rooted = [None] * k  # forest -> (parent, parent edge, depth, root) lists
+
+    def root_forest(i):
+        parent, pedge, depth, root = [-1] * n, [-1] * n, [0] * n, [-1] * n
+        for r in range(n):
+            if root[r] >= 0:
+                continue
+            root[r] = r
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                for y, eid in fadj[i][x]:
+                    if root[y] < 0:
+                        root[y], parent[y], pedge[y] = r, x, eid
+                        depth[y] = depth[x] + 1
+                        stack.append(y)
+        rooted[i] = (parent, pedge, depth, root)
+        return rooted[i]
 
     def forest_path(i, src, dst):
-        """Edge ids on the path src..dst in forest i, or None."""
-        prev = {src: (-1, -1)}
-        q = deque([src])
-        while q:
-            x = q.popleft()
-            if x == dst:
-                path = []
-                while x != src:
-                    px, pe = prev[x]
-                    path.append(pe)
-                    x = px
-                return path
-            for y, eid in fadj[i][x]:
-                if y not in prev:
-                    prev[y] = (x, eid)
-                    q.append(y)
-        return None
+        """Edge ids on the path from dst back to src in forest i, or None."""
+        parent, pedge, depth, root = rooted[i] or root_forest(i)
+        if root[src] != root[dst]:
+            return None
+        up, down = [], []  # dst's climb, src's climb
+        x, y = dst, src
+        while x != y:
+            if depth[x] >= depth[y]:
+                up.append(pedge[x])
+                x = parent[x]
+            else:
+                down.append(pedge[y])
+                y = parent[y]
+        down.reverse()
+        return up + down
 
     def insert(i, eid):
         u, v = G.edges[eid]
         owner[eid] = i
         fadj[i][u].append((v, eid))
         fadj[i][v].append((u, eid))
+        rooted[i] = None
 
     def remove(i, eid):
         u, v = G.edges[eid]
         fadj[i][u].remove((v, eid))
         fadj[i][v].remove((u, eid))
+        rooted[i] = None
 
     for e in range(m):
         prevE = {e: None}

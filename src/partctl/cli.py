@@ -17,6 +17,7 @@ from . import arith, bounds, exact, families, splits
 from .errors import (
     ConstructionFailedError,
     PackingInfeasibleError,
+    ParseError,
     PartctlError,
     TooLargeError,
     UnknownSuiteError,
@@ -42,8 +43,11 @@ def _emit(payload, out=None):
 
 
 def _load_graph(path):
-    with open(path) as fh:
-        return read_graph(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return read_graph(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _profile_json(profile):
@@ -498,7 +502,7 @@ def main(argv=None):
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConstructionFailedError, AssertionError) as exc:
+    except ConstructionFailedError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except FileNotFoundError as exc:

@@ -432,6 +432,9 @@ def write_graph(G, fh):
 
 
 def read_graph(fh):
+    """Parse the text format of ``write_graph``; '#' lines and blank lines
+    are skipped.  Raises ParseError on malformed text, and DisconnectedError
+    when the header has n > m + 1, which no connected graph has."""
     lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -442,6 +445,8 @@ def read_graph(fh):
         raise ParseError(f"bad header line: {lines[0]!r}") from exc
     if n < 0 or m < 0:
         raise ParseError(f"negative count in header line: {lines[0]!r}")
+    if n > m + 1:  # fewer than n - 1 edges; rejected before any per-vertex work
+        raise DisconnectedError(f"{n} vertices and {m} edges cannot be connected")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -211,6 +212,89 @@ def test_packing_matches_nash_williams():
             except PackingInfeasibleError:
                 got = False
             assert got == want, (i, k)
+
+
+def reference_packing(G, k):
+    """The matroid-union augmentation with a BFS path query per forest, kept
+    as a plain reference: the final forests and the leftover edge mask."""
+    n, m = G.n, G.m
+    owner = [-1] * m
+    fadj = [[[] for _ in range(n)] for _ in range(k)]
+
+    def forest_path(i, src, dst):
+        prev = {src: (-1, -1)}
+        q = deque([src])
+        while q:
+            x = q.popleft()
+            if x == dst:
+                path = []
+                while x != src:
+                    x, pe = prev[x]
+                    path.append(pe)
+                return path
+            for y, eid in fadj[i][x]:
+                if y not in prev:
+                    prev[y] = (x, eid)
+                    q.append(y)
+        return None
+
+    for e in range(m):
+        prevE = {e: None}
+        q = deque([e])
+        found = None
+        while q and found is None:
+            f = q.popleft()
+            for i in range(k):
+                if owner[f] == i:
+                    continue
+                cyc = forest_path(i, *G.edges[f])
+                if cyc is None:
+                    found = (f, i)
+                    break
+                for h in cyc:
+                    if h not in prevE:
+                        prevE[h] = f
+                        q.append(h)
+        if found is None:
+            continue
+        f, i = found
+        while f is not None:
+            u, v = G.edges[f]
+            j = owner[f]
+            if j >= 0:
+                fadj[j][u].remove((v, f))
+                fadj[j][v].remove((u, f))
+            owner[f] = i
+            fadj[i][u].append((v, f))
+            fadj[i][v].append((u, f))
+            f, i = prevE[f], j
+    trees = [sum(1 << e for e in range(m) if owner[e] == i) for i in range(k)]
+    return trees, G.full_edge_mask() & ~sum(trees)
+
+
+def test_packing_matches_bfs_reference():
+    # edges shuffled so that augmentations swap edges across forests
+    rng = random.Random(61)
+    outcomes = {True: 0, False: 0}
+    for i in range(200):
+        n = rng.randint(3, 30)
+        k = rng.randint(1, 4)
+        lo = max(n - 1, k * (n - 1) - 2)
+        m = rng.randint(min(lo, n * (n - 1) // 2), min(k * (n - 1) + n // 2, n * (n - 1) // 2))
+        edges = list(random_connected_graph(n, m, seed=i).edges)
+        rng.shuffle(edges)
+        G = Graph(n, edges)
+        trees, leftover = reference_packing(G, k)
+        feasible = all(t.bit_count() == n - 1 for t in trees)
+        outcomes[feasible] += 1
+        if feasible:
+            packing = spanning_tree_packing(G, k)
+            assert (packing.trees, packing.leftover) == (trees, leftover), i
+        else:
+            with pytest.raises(PackingInfeasibleError) as exc:
+                spanning_tree_packing(G, k)
+            assert exc.value.forests == trees, i
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_packing_partitions_k5():

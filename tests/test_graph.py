@@ -182,6 +182,12 @@ def test_read_graph_skips_comments():
     assert g.edges == ((0, 1), (1, 2))
 
 
+def test_read_graph_rejects_too_few_edges_before_allocating():
+    with pytest.raises(DisconnectedError):
+        read_graph(io.StringIO("5000000 3\n0 1\n1 2\n2 3\n"))
+    assert read_graph(io.StringIO("4 3\n0 1\n1 2\n2 3\n")).n == 4
+
+
 def test_induced_subgraph_maps():
     g = cycle(5)
     sub, vmap, emap = g.induced(mask_of([1, 2, 3]))
