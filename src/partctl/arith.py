@@ -49,6 +49,7 @@ class IntervalTable:
 
 
 _cache = {}
+_interval_cache = {}
 
 
 def build_t_table(capacity=DEFAULT_CAPACITY):
@@ -87,18 +88,22 @@ def t_value(n, capacity=None):
 
 
 def build_interval_table(capacity=DEFAULT_CAPACITY):
-    """Preimage intervals t^{-1}(h) = [lo, hi] derived from the t-table.
+    """Memoized preimage intervals t^{-1}(h) = [lo, hi] derived from the
+    t-table, one table per capacity.
 
     The last interval is dropped if truncated by the table capacity.
     """
-    tab = build_t_table(capacity)
-    intervals = []
-    lo = 1
-    for n in range(2, capacity + 1):
-        if tab.values[n] != tab.values[lo]:
-            intervals.append((lo, n - 1))
-            lo = n
-    return IntervalTable(intervals)
+    itab = _interval_cache.get(capacity)
+    if itab is None:
+        tab = build_t_table(capacity)
+        intervals = []
+        lo = 1
+        for n in range(2, capacity + 1):
+            if tab.values[n] != tab.values[lo]:
+                intervals.append((lo, n - 1))
+                lo = n
+        itab = _interval_cache[capacity] = IntervalTable(intervals)
+    return itab
 
 
 def t_preimage(h, capacity=DEFAULT_CAPACITY):

@@ -391,6 +391,8 @@ def packing_partitions(G, k):
     core hanging off the last tree."""
     if k < 2:
         raise TooSmallError("k must be >= 2")
+    if G.n == 1:
+        raise TooSmallError(f"a one-vertex graph has no edges to pack into {k} trees")
     if not is_connected(G):
         raise DisconnectedError("packing pipeline needs a connected graph")
     core = dense_core(G)
@@ -459,7 +461,7 @@ def connected_cut_bound(G, r=2):
     if not is_connected(G):
         raise DisconnectedError("cut bound needs a connected graph")
     if G.n < r:
-        raise ConstructionFailedError(f"cannot cut {G.n} vertices into {r} parts")
+        raise TooSmallError(f"cannot cut {G.n} vertices into {r} parts")
     core = dense_core(G)
     Hsub, vmap, _ = core.induced()
     delta = core.min_degree

@@ -48,6 +48,8 @@ def _load_graph(path):
             return read_graph(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror or exc})") from exc
 
 
 def _profile_json(profile):

@@ -130,11 +130,7 @@ class Graph:
 
     def edge_set_of_vertices(self, vmask):
         """Edges with both endpoints inside vmask."""
-        out = 0
-        for ei, (u, v) in enumerate(self.edges):
-            if (vmask >> u) & 1 and (vmask >> v) & 1:
-                out |= 1 << ei
-        return out
+        return next(induced_edge_sets(self, [vmask]))
 
     def induced(self, vmask):
         """Induced subgraph on vmask with relabeled dense ids.
@@ -199,6 +195,42 @@ class RootedTree:
 
     def __repr__(self):
         return f"RootedTree(n={self.n}, root={self.root})"
+
+
+def induced_edge_sets(G, vmasks):
+    """Yield E(S), the edges inside S, for each vertex mask S of ``vmasks``
+    at a cost proportional to the vertices that enter or leave S since the
+    previous mask; any sequence works, nested or not.
+
+    ``once`` holds the edges touching S and ``twice`` those inside it.  An
+    entering x moves its edges in ``once`` into ``twice``; a leaving x keeps
+    in ``once`` only its edges whose other end stays, the ones in ``twice``.
+    """
+    inc = G._inc_mask
+    prev = once = twice = 0
+    for S in vmasks:
+        for x in bits(S & ~prev):
+            i = inc[x]
+            twice |= once & i
+            once |= i
+        for x in bits(prev & ~S):
+            i = inc[x]
+            once = (once & ~i) | (twice & i)
+            twice &= ~i
+        prev = S
+        yield twice
+
+
+def remap_masks(masks, idmap):
+    """Yield each mask of ``masks`` with bit i moved to bit ``idmap[i]``.
+    Relabeling is linear over XOR, so only the bits that changed since the
+    previous mask, ``m ^ prev``, are mapped."""
+    prev = out = 0
+    for m in masks:
+        for i in bits(m ^ prev):
+            out ^= 1 << idmap[i]
+        prev = m
+        yield out
 
 
 def closure(adj, start, mask):

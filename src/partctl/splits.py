@@ -14,9 +14,11 @@ from .graph import (
     Graph,
     RootedTree,
     bits,
+    closure,
     components,
+    induced_edge_sets,
     is_connected_edge_set,
-    is_connected_vertex_set,
+    remap_masks,
     spanning_tree,
 )
 
@@ -39,7 +41,13 @@ class SplitSequence:
 
     def check(self):
         """Check all four invariants; raises ConstructionFailedError on
-        violation (also under ``python -O``)."""
+        violation (also under ``python -O``).
+
+        A vertex set S of a tree is connected iff it holds |S| - 1 edges, so
+        connectivity is an edge count over ``induced_edge_sets``.  In a graph
+        with cycles a disconnected S can hold that many; ``RootedTree``
+        guarantees a tree.  Later pivots are read off a suffix AND of the Bs.
+        """
         T = self.tree
         G = T.graph
         full = G.full_vertex_mask()
@@ -48,16 +56,20 @@ class SplitSequence:
             raise ConstructionFailedError("empty split sequence")
         if items[0][2] != T.root:
             raise ConstructionFailedError("first pivot is not the root")
-        for i, (A, B, v) in enumerate(items):
+        later = [full] * len(items)  # later[i]: AND of B_j over j > i
+        for i in range(len(items) - 1, 0, -1):
+            later[i - 1] = later[i] & items[i][1]
+        eAs = induced_edge_sets(G, [A for A, _, _ in items])
+        eBs = induced_edge_sets(G, [B for _, B, _ in items])
+        for i, ((A, B, v), eA, eB) in enumerate(zip(items, eAs, eBs)):
             if A & B != 1 << v:
                 raise ConstructionFailedError(f"A and B of item {i} do not meet in its pivot")
             if A | B != full:
                 raise ConstructionFailedError(f"A and B of item {i} do not cover V")
-            if not (is_connected_vertex_set(G, A) and is_connected_vertex_set(G, B)):
+            if eA.bit_count() != A.bit_count() - 1 or eB.bit_count() != B.bit_count() - 1:
                 raise ConstructionFailedError(f"A or B of item {i} is not connected")
-            for _, Bj, _ in items[i + 1 :]:
-                if not (Bj >> v) & 1:
-                    raise ConstructionFailedError("earlier pivot missing from later B")
+            if not (later[i] >> v) & 1:
+                raise ConstructionFailedError("earlier pivot missing from later B")
         for (A1, B1, _), (A2, B2, _) in zip(items, items[1:]):
             if A2 & ~A1 or A1 == A2:
                 raise ConstructionFailedError("A sets not strictly decreasing")
@@ -133,8 +145,7 @@ def two_partitions_from_splits(G, T):
     seq = nested_split_sequence(T)
     full = G.full_edge_mask()
     out = []
-    for _, B, _ in seq.items:
-        e2 = G.edge_set_of_vertices(B)
+    for e2 in induced_edge_sets(G, [B for _, B, _ in seq.items]):
         e1 = full & ~e2
         if e1 and e2:
             out.append([e1, e2])
@@ -190,12 +201,37 @@ def recursive_k_partitions(G, k):
     if k == 2:
         return two_partitions_from_splits(G, spanning_tree(G, 0))
 
-    n = G.n
     T = spanning_tree(G, 0)
+    v, a1 = _centroid_chunk(T)
+    subT, tvmap, _ = T.graph.induced(a1)
+    seq = nested_split_sequence(RootedTree(subT, tvmap.index(v)))
+    full_e = G.full_edge_mask()
+    out = []
+    ext = G.full_vertex_mask() & ~a1
+    Bs = [ext | B for B in remap_masks([B for _, B, _ in seq.items], tvmap)]
+    for B, e2 in zip(Bs, induced_edge_sets(G, Bs)):
+        e1 = full_e & ~e2
+        if not e1 or e2.bit_count() < k - 1:
+            continue
+        sub, _, emap = G.induced(B)
+        try:
+            inner = recursive_k_partitions(sub, k - 1)
+        except TooSmallError:
+            continue
+        # zip runs the column generators after j has moved on, so each column
+        # is listed here; a generator expression would read the last column
+        cols = [remap_masks([ps[j] for ps in inner], emap) for j in range(k - 1)]
+        out.extend([e1, *row] for row in zip(*cols))
+    return out
+
+
+def _centroid_chunk(T):
+    """(v, chunk): the centroid v of T and the chunk of T that
+    ``recursive_k_partitions`` runs its split sequence in."""
+    n = T.graph.n
     v = centroid(T)
     comps = components(T.graph, removed=1 << v)
     comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
-    vbit = 1 << v
     if len(comps) == 1:
         sel = comps[0]
     elif len(comps) == 2:
@@ -217,36 +253,7 @@ def recursive_k_partitions(G, k):
             # prefer the accumulated side; fall back to whichever fits n/2
             if 2 * (sel.bit_count() + 1) > n and 2 * (other.bit_count() + 1) <= n:
                 sel = other
-    a1 = sel | vbit
-
-    subT, tvmap, _ = T.graph.induced(a1)
-    local_root = tvmap.index(v)
-    seq = nested_split_sequence(RootedTree(subT, local_root))
-    full_e = G.full_edge_mask()
-    full_v = G.full_vertex_mask()
-    out = []
-    for _, B_loc, _ in seq.items:
-        B = full_v & ~a1
-        for i in bits(B_loc):
-            B |= 1 << tvmap[i]
-        e2 = G.edge_set_of_vertices(B)
-        e1 = full_e & ~e2
-        if not e1 or e2.bit_count() < k - 1:
-            continue
-        sub, _, emap = G.induced(B)
-        try:
-            inner = recursive_k_partitions(sub, k - 1)
-        except TooSmallError:
-            continue
-        for parts in inner:
-            mapped = []
-            for p in parts:
-                pm = 0
-                for j in bits(p):
-                    pm |= 1 << emap[j]
-                mapped.append(pm)
-            out.append([e1] + mapped)
-    return out
+    return v, sel | 1 << v
 
 
 def tree_exact_P2(T):
@@ -302,7 +309,9 @@ def tree_lower_bound_partitions(T):
                 half_vertex = u
                 break
     if half_vertex >= 0:
-        sub_mask = _subtree_mask(T, half_vertex, sz)
+        # the subtree below half_vertex is all it reaches without its parent
+        above = 1 << T.parent[half_vertex]
+        sub_mask = closure(G.neighbor_masks, half_vertex, G.full_vertex_mask() & ~above)
         return _partitions_from_subtree(G, sub_mask, half_vertex)
 
     # Case II: orient edges toward the larger side; find the unique sink
@@ -347,18 +356,6 @@ def tree_lower_bound_partitions(T):
     return _partitions_from_subtree(G, tmask, sink)
 
 
-def _subtree_mask(T, u, sz):
-    mask = 1 << u
-    stack = [u]
-    while stack:
-        v = stack.pop()
-        for w in bits(T.graph.neighbor_mask(v)):
-            if T.parent[w] == v and not (mask >> w) & 1:
-                mask |= 1 << w
-                stack.append(w)
-    return mask
-
-
 def _partitions_from_subtree(G, sub_mask, local_root):
     """Run the split sequence inside G[sub_mask] (a subtree of the tree G) and
     turn each split into a 2-edge-partition of the whole tree."""
@@ -366,11 +363,8 @@ def _partitions_from_subtree(G, sub_mask, local_root):
     seq = nested_split_sequence(RootedTree(sub, vmap.index(local_root)))
     full = G.full_edge_mask()
     out = []
-    for A_loc, _, _ in seq.items:
-        A = 0
-        for i in bits(A_loc):
-            A |= 1 << vmap[i]
-        e1 = G.edge_set_of_vertices(A)
+    As = remap_masks([A for A, _, _ in seq.items], vmap)
+    for e1 in induced_edge_sets(G, As):
         e2 = full & ~e1
         if e1 and e2:
             out.append([e1, e2])

@@ -55,6 +55,18 @@ def test_preimage_intervals():
     assert t_preimage(9, capacity=10**4) == (35, 49)
 
 
+def test_t_preimage_builds_its_interval_table_once(monkeypatch):
+    from partctl import arith
+
+    builds = []
+    real = arith.build_t_table
+    monkeypatch.setattr(arith, "_interval_cache", {})
+    monkeypatch.setattr(arith, "build_t_table", lambda cap: builds.append(cap) or real(cap))
+    assert t_preimage(7, capacity=3000) == (17, 23)
+    assert t_preimage(9, capacity=3000) == (35, 49)
+    assert builds == [3000]
+
+
 def test_closed_form_matches_table():
     itab = build_interval_table(10**5)
     for h in range(8, itab.max_h + 1):

@@ -203,7 +203,14 @@ def test_part_count_below_one_is_usage_error(tmp_path, capsys, argv):
     ("4 3\n0 1\n1 2\n2 3\n", ("splits", "--root", "9")),
     ("-1 0\n", ("exact", "--what", "P")),
     ("2 1\n0 1\n", ("exact", "--what", "cmc", "--r", "3")),
-], ids=["splits-root-out-of-range", "negative-header", "cmc-fewer-vertices-than-r"])
+    ("1 0\n", ("exact", "--what", "cmc")),
+    ("1 0\n", ("bounds", "--method", "cmc")),
+    ("1 0\n", ("bounds", "--method", "cmc", "--r", "3")),
+    ("1 0\n", ("bounds", "--method", "packing")),
+    ("1 0\n", ("bounds", "--method", "packing", "--k", "3")),
+], ids=["splits-root-out-of-range", "negative-header", "cmc-fewer-vertices-than-r",
+        "one-vertex-exact-cmc", "one-vertex-cut-bound", "one-vertex-cut-bound-r3",
+        "one-vertex-packing", "one-vertex-packing-k3"])
 def test_bad_input_is_input_error(tmp_path, capsys, text, argv):
     g = tmp_path / "g.txt"
     g.write_text(text)
@@ -211,3 +218,12 @@ def test_bad_input_is_input_error(tmp_path, capsys, text, argv):
     assert code == 3
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_two_vertex_packing_still_reports_infeasible(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("2 1\n0 1\n")
+    code, out, _ = run(capsys, "bounds", "--method", "packing", "--input", str(g))
+    assert code == 0
+    data = json.loads(out)
+    assert data["feasible"] is False and data["forest_sizes"] == [1, 0]

@@ -119,3 +119,12 @@ def test_non_utf8_file_exits_3_without_traceback(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ") and "not UTF-8" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_directory_input_exits_3_naming_the_path(tmp_path, capsys):
+    for argv in [("exact", "--what", "P"), ("bounds", "--method", "pathcut"),
+                 ("splits",), ("tree-p2",)]:
+        code, err, _ = run_case(capsys, [*argv, "--input", str(tmp_path)])
+        assert code == 3, argv
+        assert err.startswith(f"error: {tmp_path}: cannot read"), (argv, err)
+        assert "Traceback" not in err, argv

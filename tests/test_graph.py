@@ -1,5 +1,6 @@
 import io
 import itertools
+import random
 
 import pytest
 
@@ -26,6 +27,7 @@ from partctl.errors import (
     SelfLoopError,
     VertexOutOfRangeError,
 )
+from partctl.graph import induced_edge_sets, remap_masks
 
 
 def path(n):
@@ -194,3 +196,43 @@ def test_induced_subgraph_maps():
     assert vmap == [1, 2, 3]
     assert sub.m == 2
     assert [g.edges[e] for e in emap] == [(1, 2), (2, 3)]
+
+
+def _edges_inside(G, S):
+    """E(S) by a scan over every edge: the reference for induced_edge_sets."""
+    return mask_of(ei for ei, (u, v) in enumerate(G.edges) if (S >> u) & 1 and (S >> v) & 1)
+
+
+def _remap_bitwise(m, idmap):
+    return mask_of(idmap[i] for i in bits(m))
+
+
+def _chains(rng, n):
+    """Vertex-mask sequences of every shape: nested increasing and decreasing,
+    random masks (mixed adds and removes), repeats, and empty masks."""
+    order = rng.sample(range(n), n)
+    grow = [mask_of(order[:i]) for i in range(n + 1)]
+    mixed = [rng.getrandbits(n) for _ in range(10)]
+    full = (1 << n) - 1
+    return [grow, grow[::-1], mixed, [m for m in mixed[:5] for _ in range(2)],
+            [0, full, 0, 0, full], []]
+
+
+def test_induced_edge_sets_match_brute_force():
+    rng = random.Random(11)
+    for _ in range(80):
+        n, p = rng.randint(1, 16), rng.choice([0.2, 0.5, 0.9])
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for chain in _chains(rng, n):
+            assert list(induced_edge_sets(G, chain)) == [_edges_inside(G, S) for S in chain]
+        S = rng.getrandbits(n)
+        assert G.edge_set_of_vertices(S) == _edges_inside(G, S)
+
+
+def test_remap_masks_matches_bitwise_remap():
+    rng = random.Random(12)
+    for _ in range(80):
+        n = rng.randint(1, 16)
+        idmap = rng.sample(range(3 * n), n)
+        for chain in _chains(rng, n):
+            assert list(remap_masks(chain, idmap)) == [_remap_bitwise(m, idmap) for m in chain]

@@ -13,6 +13,7 @@ from partctl import (
     edge_partition_profile,
     mask_of,
     nested_split_sequence,
+    random_connected_graph,
     random_tree,
     recursive_k_partitions,
     spanning_tree,
@@ -22,8 +23,8 @@ from partctl import (
     two_partitions_from_splits,
     validate_edge_partition,
 )
-from partctl.errors import TooSmallError
-from partctl.splits import centroid, profile_of
+from partctl.errors import ConstructionFailedError, TooSmallError
+from partctl.splits import SplitSequence, _centroid_chunk, centroid, profile_of
 
 
 def path(n):
@@ -134,6 +135,58 @@ def test_recursive_k_partitions_k4():
     assert len({profile_of(p) for p in out}) >= 2
 
 
+def _edges_inside(G, S):
+    return mask_of(ei for ei, (u, v) in enumerate(G.edges) if (S >> u) & 1 and (S >> v) & 1)
+
+
+def _reference_k_partitions(G, k):
+    """recursive_k_partitions as a plain per-item loop: each B is rebuilt and
+    remapped bit by bit, each E(B) found by a scan over all edges, and each
+    inner part remapped on its own."""
+    if G.m < k:
+        raise TooSmallError(f"graph has {G.m} edges < k={k}")
+    T = spanning_tree(G, 0)
+    full = G.full_edge_mask()
+    out = []
+    if k == 2:
+        for _, B, _ in nested_split_sequence(T).items:
+            e2 = _edges_inside(G, B)
+            if full & ~e2 and e2:
+                out.append([full & ~e2, e2])
+        return out
+    v, a1 = _centroid_chunk(T)
+    subT, tvmap, _ = T.graph.induced(a1)
+    for _, B_loc, _ in nested_split_sequence(RootedTree(subT, tvmap.index(v))).items:
+        B = G.full_vertex_mask() & ~a1 | mask_of(tvmap[i] for i in bits(B_loc))
+        e2 = _edges_inside(G, B)
+        e1 = full & ~e2
+        if not e1 or e2.bit_count() < k - 1:
+            continue
+        sub, _, emap = G.induced(B)
+        try:
+            inner = _reference_k_partitions(sub, k - 1)
+        except TooSmallError:
+            continue
+        for parts in inner:
+            out.append([e1] + [mask_of(emap[j] for j in bits(p)) for p in parts])
+    return out
+
+
+def test_recursive_k_partitions_match_per_item_reference():
+    rng = random.Random(4)
+    for s in range(40):
+        n = rng.randint(4, 16)
+        G = random_connected_graph(n, rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n)), seed=s)
+        for k in (2, 3, 4):
+            try:
+                want = _reference_k_partitions(G, k)
+            except TooSmallError:
+                with pytest.raises(TooSmallError):
+                    recursive_k_partitions(G, k)
+                continue
+            assert recursive_k_partitions(G, k) == want, (G.edges, k)
+
+
 def test_recursive_rejects_small():
     with pytest.raises(TooSmallError):
         recursive_k_partitions(path(2), 2)
@@ -216,3 +269,53 @@ def test_check_rejects_truncated_sequence_under_python_O():
     res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
+
+
+def _broom():
+    """Path 0-1-2-3-4 with leaf 5 on vertex 1, rooted at 0; its split sequence
+    is the six items below, and t(6) + 1 = 5."""
+    T = RootedTree(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)]), 0)
+    items = nested_split_sequence(T).items
+    assert [(sorted(bits(A)), sorted(bits(B)), v) for A, B, v in items] == [
+        ([0, 1, 2, 3, 4, 5], [0], 0),
+        ([1, 2, 3, 4, 5], [0, 1], 1),
+        ([1, 2, 3, 4], [0, 1, 5], 1),
+        ([2, 3, 4], [0, 1, 2, 5], 2),
+        ([3, 4], [0, 1, 2, 3, 5], 3),
+        ([4], [0, 1, 2, 3, 4, 5], 4),
+    ]
+    return T, items
+
+
+def _move(items, i, x, to_a):
+    """items with vertex x moved from B_i to A_i (to_a) or back."""
+    A, B, v = items[i]
+    bit = 1 << x
+    moved = (A | bit, B & ~bit, v) if to_a else (A & ~bit, B | bit, v)
+    return items[:i] + [moved] + items[i + 1:]
+
+
+def _swap(items, i, j):
+    out = list(items)
+    out[i], out[j] = out[j], out[i]
+    return out
+
+
+# B cannot stop growing while A shrinks and every item passes: B_i is the
+# complement of A_i plus v_i, and v_i must lie in every later B.  So a B that
+# stops growing is caught by the A test, which runs first.
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda it: _move(it, 3, 5, to_a=True), "A or B of item 3 is not connected"),
+    (lambda it: _move(it, 3, 4, to_a=False), "A or B of item 3 is not connected"),
+    (lambda it: _swap(it, 1, 2), "A sets not strictly decreasing"),
+    (lambda it: it[:4] + it[3:], "A sets not strictly decreasing"),
+    (lambda it: _swap(it, 2, 3), "earlier pivot missing from later B"),
+    (lambda it: it[:4], "length 4 is below t(n) + 1 = 5"),
+], ids=["disconnected-A", "disconnected-B", "A-not-shrinking", "B-not-growing",
+        "earlier-pivot-missing", "too-short"])
+def test_check_rejects_corrupted_sequence(corrupt, message):
+    T, items = _broom()
+    SplitSequence(T, items).check()
+    with pytest.raises(ConstructionFailedError) as exc:
+        SplitSequence(T, corrupt(items)).check()
+    assert str(exc.value) == message
