@@ -23,6 +23,7 @@ from .errors import (
 from .exact import CutWitness, cut_size, gyori_lovasz, validate_vertex_partition
 from .graph import (
     Graph,
+    bfs_tree,
     bits,
     blocks,
     components,
@@ -547,24 +548,13 @@ def _greedy_regions(H, sizes):
 def _leaf_peel(H, r):
     """Always-valid fallback partition: r-1 spanning-tree leaves become
     singleton parts, the remaining tree is the last part."""
-    from .graph import spanning_tree
-
-    T = spanning_tree(H, 0)
-    tdeg = [0] * H.n
-    for u, v in T.graph.edges:
-        tdeg[u] += 1
-        tdeg[v] += 1
     alive = H.full_vertex_mask()
+    _, _, tree = bfs_tree(H.neighbor_masks, 0, alive)
     parts = []
     for _ in range(r - 1):
-        leaf = next(v for v in bits(alive) if tdeg[v] <= 1)
+        leaf = next(v for v in bits(alive) if (tree[v] & alive).bit_count() <= 1)
         parts.append(1 << leaf)
         alive &= ~(1 << leaf)
-        for u, v in T.graph.edges:
-            if u == leaf and (alive >> v) & 1:
-                tdeg[v] -= 1
-            elif v == leaf and (alive >> u) & 1:
-                tdeg[u] -= 1
     parts.append(alive)
     return parts
 

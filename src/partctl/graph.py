@@ -9,8 +9,6 @@ object is reproducible.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -98,10 +96,6 @@ class Graph:
     def neighbor_mask(self, v):
         return self.neighbor_masks[v]
 
-    def incident_mask(self, v):
-        """Bitmask of edge ids incident to v."""
-        return self._inc_mask[v]
-
     def neighbors(self, v):
         return list(bits(self.neighbor_masks[v]))
 
@@ -163,31 +157,23 @@ class Graph:
 
 
 class RootedTree:
-    """A tree (m = n-1, connected) with a designated root and parent map."""
+    """A tree (m = n-1, connected) with a designated root, its parent map
+    and its breadth-first visit order."""
 
-    __slots__ = ("graph", "root", "parent")
+    __slots__ = ("graph", "root", "parent", "order")
 
     def __init__(self, graph, root):
         if not 0 <= root < graph.n:
             raise OutOfRangeError(f"root {root} out of range for n={graph.n}")
         if graph.m != graph.n - 1:
             raise DisconnectedError("not a tree: m != n-1")
-        parent = [-1] * graph.n
-        order = [root]
-        seen = 1 << root
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for u in bits(graph.neighbor_mask(v) & ~seen):
-                seen |= 1 << u
-                parent[u] = v
-                order.append(u)
+        order, parent, _ = bfs_tree(graph.neighbor_masks, root, graph.full_vertex_mask())
         if len(order) != graph.n:
             raise DisconnectedError("not a tree: disconnected")
         self.graph = graph
         self.root = root
         self.parent = tuple(parent)
+        self.order = tuple(order)
 
     @property
     def n(self):
@@ -195,6 +181,30 @@ class RootedTree:
 
     def __repr__(self):
         return f"RootedTree(n={self.n}, root={self.root})"
+
+
+def bfs_tree(adj, root, mask):
+    """Breadth-first tree of the elements of ``mask`` reachable from ``root``
+    along ``adj``, the tuple of per-element neighbor bitmasks; neighbors are
+    visited by ascending id.
+
+    Returns (order, parent, tree): the visit order, each element's parent
+    (-1 for the root and for elements not reached) and each element's
+    bitmask of tree neighbors, all indexed by the ids of ``adj``.
+    """
+    parent = [-1] * len(adj)
+    tree = [0] * len(adj)
+    order = [root]
+    seen = 1 << root
+    for v in order:
+        new = adj[v] & mask & ~seen
+        seen |= new
+        tree[v] |= new
+        for u in bits(new):
+            parent[u] = v
+            tree[u] = 1 << v
+            order.append(u)
+    return order, parent, tree
 
 
 def induced_edge_sets(G, vmasks):
@@ -219,18 +229,6 @@ def induced_edge_sets(G, vmasks):
             twice &= ~i
         prev = S
         yield twice
-
-
-def remap_masks(masks, idmap):
-    """Yield each mask of ``masks`` with bit i moved to bit ``idmap[i]``.
-    Relabeling is linear over XOR, so only the bits that changed since the
-    previous mask, ``m ^ prev``, are mapped."""
-    prev = out = 0
-    for m in masks:
-        for i in bits(m ^ prev):
-            out ^= 1 << idmap[i]
-        prev = m
-        yield out
 
 
 def closure(adj, start, mask):
@@ -264,16 +262,21 @@ def is_connected_edge_set(G, F):
     return closure(G.edge_adjacency(), (F & -F).bit_length() - 1, F) == F
 
 
+def mask_components(adj, mask):
+    """Connected components of ``mask`` along ``adj`` as bitmasks, ordered by
+    smallest contained id."""
+    comps = []
+    while mask:
+        comp = closure(adj, (mask & -mask).bit_length() - 1, mask)
+        comps.append(comp)
+        mask &= ~comp
+    return comps
+
+
 def components(G, removed=0):
     """Connected components of G - removed as a list of vertex bitmasks,
     ordered by smallest contained vertex id."""
-    alive = G.full_vertex_mask() & ~removed
-    comps = []
-    while alive:
-        comp = closure(G.neighbor_masks, (alive & -alive).bit_length() - 1, alive)
-        comps.append(comp)
-        alive &= ~comp
-    return comps
+    return mask_components(G.neighbor_masks, G.full_vertex_mask() & ~removed)
 
 
 def is_connected(G):
@@ -283,19 +286,12 @@ def is_connected(G):
 
 def spanning_tree(G, root=0):
     """Deterministic BFS spanning tree (neighbors visited by ascending id)."""
-    if not is_connected(G):
+    if G.n == 0:
+        raise DisconnectedError("graph has no vertices")
+    order, parent, _ = bfs_tree(G.neighbor_masks, root, G.full_vertex_mask())
+    if len(order) != G.n:
         raise DisconnectedError("graph is disconnected")
-    seen = 1 << root
-    order = deque([root])
-    tree_edges = []
-    while order:
-        v = order.popleft()
-        for u in bits(G.neighbor_mask(v) & ~seen):
-            seen |= 1 << u
-            tree_edges.append((min(v, u), max(v, u)))
-            order.append(u)
-    T = Graph(G.n, tree_edges)
-    return RootedTree(T, root)
+    return RootedTree(Graph(G.n, [(parent[u], u) for u in order[1:]]), root)
 
 
 def min_degree(G):

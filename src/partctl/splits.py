@@ -13,13 +13,14 @@ from .errors import ConstructionFailedError, DisconnectedError, TooSmallError
 from .graph import (
     Graph,
     RootedTree,
+    bfs_tree,
     bits,
     closure,
     components,
     induced_edge_sets,
+    is_connected,
     is_connected_edge_set,
-    remap_masks,
-    spanning_tree,
+    mask_components,
 )
 
 
@@ -82,37 +83,37 @@ class SplitSequence:
 
 
 def nested_split_sequence(T):
-    """The nested (A_i, B_i, v_i) sequence of a rooted tree.
+    """The nested (A_i, B_i, v_i) sequence of a rooted tree."""
+    G = T.graph
+    return SplitSequence(T, _split_items(G.neighbor_masks, G.full_vertex_mask(), T.root))
+
+
+def _split_items(tree, mask, v):
+    """The split items of the subtree ``mask`` rooted at v, for ``tree`` the
+    per-vertex tree-neighbor masks; ids are those of ``tree``.
 
     At each level the components of the current subtree minus its root are
     peeled off one by one (largest component last, ties by smallest contained
-    vertex id); the recursion continues inside the largest component, rooted
-    at the root's neighbor there.
+    vertex id); the walk continues inside the largest component, rooted at
+    the root's neighbor there, with everything peeled so far in every B.
     """
-    G = T.graph
-    full = G.full_vertex_mask()
-
-    def rec(mask, v):
-        vbit = 1 << v
-        if mask == vbit:
-            return [(mask, mask, v)]
-        comps = components(G, removed=(full & ~mask) | vbit)
+    items = []
+    ext = 0
+    while mask != 1 << v:
+        comps = mask_components(tree, mask & ~(1 << v))
         comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
         largest = comps[0]
         rest = sorted(comps[1:], key=lambda c: (c.bit_count(), (c & -c).bit_length()))
-        seq = []
-        a, b = mask, vbit
+        a, b = mask, ext | 1 << v
         for c in rest + [largest]:
-            seq.append((a, b, v))
+            items.append((a, b, v))
             a &= ~c
             b |= c
-        vp = (G.neighbor_mask(v) & largest).bit_length() - 1
-        ext = mask & ~largest
-        for A, B, u in rec(largest, vp):
-            seq.append((A, B | ext, u))
-        return seq
-
-    return SplitSequence(T, rec(full, T.root))
+        ext |= mask & ~largest
+        v = (tree[v] & largest).bit_length() - 1
+        mask = largest
+    items.append((mask, ext | mask, v))
+    return items
 
 
 def validate_edge_partition(G, parts, k=None):
@@ -152,37 +153,29 @@ def two_partitions_from_splits(G, T):
     return out
 
 
-def _subtree_sizes(T):
-    n = T.graph.n
-    order = []
-    seen = 1 << T.root
-    stack = [T.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in bits(T.graph.neighbor_mask(v) & ~seen):
-            seen |= 1 << u
-            stack.append(u)
-    sz = [1] * n
+def _subtree_sizes(order, parent):
+    """Subtree sizes of a BFS tree given by its visit order and parents,
+    indexed by vertex id (0 off the tree)."""
+    sz = [0] * len(parent)
     for v in reversed(order):
-        if T.parent[v] >= 0:
-            sz[T.parent[v]] += sz[v]
-    return sz, order
+        sz[v] += 1
+        if parent[v] >= 0:
+            sz[parent[v]] += sz[v]
+    return sz
+
+
+def _centroid(order, parent):
+    """Vertex of a BFS tree minimizing its largest branch; ties by smallest id."""
+    sz = _subtree_sizes(order, parent)
+    worst = [len(order) - s for s in sz]  # the branch through the parent
+    for u in order[1:]:
+        worst[parent[u]] = max(worst[parent[u]], sz[u])
+    return min(order, key=lambda v: (worst[v], v))
 
 
 def centroid(T):
     """Vertex minimizing the largest component of T - v; ties by smallest id."""
-    n = T.graph.n
-    sz, _ = _subtree_sizes(T)
-    best, best_v = n + 1, -1
-    for v in range(n):
-        worst = n - sz[v]
-        for u in bits(T.graph.neighbor_mask(v)):
-            if T.parent[u] == v:
-                worst = max(worst, sz[u])
-        if worst < best:
-            best, best_v = worst, v
-    return best_v
+    return _centroid(T.order, T.parent)
 
 
 def recursive_k_partitions(G, k):
@@ -198,62 +191,59 @@ def recursive_k_partitions(G, k):
         raise TooSmallError("k must be >= 2")
     if G.m < k:
         raise TooSmallError(f"graph has {G.m} edges < k={k}")
-    if k == 2:
-        return two_partitions_from_splits(G, spanning_tree(G, 0))
+    if not is_connected(G):
+        raise DisconnectedError("graph is disconnected")
+    return _k_partitions(G, G.full_vertex_mask(), G.full_edge_mask(), k)
 
-    T = spanning_tree(G, 0)
-    v, a1 = _centroid_chunk(T)
-    subT, tvmap, _ = T.graph.induced(a1)
-    seq = nested_split_sequence(RootedTree(subT, tvmap.index(v)))
-    full_e = G.full_edge_mask()
+
+def _k_partitions(G, vmask, emask, k):
+    """``recursive_k_partitions`` of G[vmask], whose edges are ``emask``, in
+    G's ids; the BFS spanning tree of G[vmask] is rooted at its lowest vertex.
+    Every split whose B side holds at least k - 1 edges recurses on G[B]."""
+    if k == 1:
+        return [[emask]]
+    root = (vmask & -vmask).bit_length() - 1
+    order, parent, tree = bfs_tree(G.neighbor_masks, root, vmask)
+    if k == 2:
+        v, chunk = root, vmask
+    else:
+        v = _centroid(order, parent)
+        chunk = _centroid_chunk(tree, vmask, v)
+    ext = vmask & ~chunk
+    Bs = [ext | B for _, B, _ in _split_items(tree, chunk, v)]
     out = []
-    ext = G.full_vertex_mask() & ~a1
-    Bs = [ext | B for B in remap_masks([B for _, B, _ in seq.items], tvmap)]
     for B, e2 in zip(Bs, induced_edge_sets(G, Bs)):
-        e1 = full_e & ~e2
-        if not e1 or e2.bit_count() < k - 1:
-            continue
-        sub, _, emap = G.induced(B)
-        try:
-            inner = recursive_k_partitions(sub, k - 1)
-        except TooSmallError:
-            continue
-        # zip runs the column generators after j has moved on, so each column
-        # is listed here; a generator expression would read the last column
-        cols = [remap_masks([ps[j] for ps in inner], emap) for j in range(k - 1)]
-        out.extend([e1, *row] for row in zip(*cols))
+        e1 = emask & ~e2
+        if e1 and e2.bit_count() >= k - 1:
+            out.extend([e1, *row] for row in _k_partitions(G, B, e2, k - 1))
     return out
 
 
-def _centroid_chunk(T):
-    """(v, chunk): the centroid v of T and the chunk of T that
-    ``recursive_k_partitions`` runs its split sequence in."""
-    n = T.graph.n
-    v = centroid(T)
-    comps = components(T.graph, removed=1 << v)
+def _centroid_chunk(tree, mask, v):
+    """The chunk of the tree ``mask`` (per-vertex tree-neighbor masks
+    ``tree``) around its centroid v that ``recursive_k_partitions`` runs its
+    split sequence in."""
+    n = mask.bit_count()
+    comps = mask_components(tree, mask & ~(1 << v))
     comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
     if len(comps) == 1:
         sel = comps[0]
     elif len(comps) == 2:
         sel = comps[1]  # the smaller one
+    elif 3 * comps[0].bit_count() >= n:
+        sel = comps[0]
     else:
-        if 3 * comps[0].bit_count() >= n:
-            sel = comps[0]
-        else:
-            sel, s = 0, 0
-            for c in comps:
-                sel |= c
-                s += c.bit_count()
-                if 3 * s >= n - 1:
-                    break
-            other = 0
-            for c in comps:
-                if not (c & sel):
-                    other |= c
-            # prefer the accumulated side; fall back to whichever fits n/2
-            if 2 * (sel.bit_count() + 1) > n and 2 * (other.bit_count() + 1) <= n:
-                sel = other
-    return v, sel | 1 << v
+        sel, s = 0, 0
+        for c in comps:
+            sel |= c
+            s += c.bit_count()
+            if 3 * s >= n - 1:
+                break
+        other = mask & ~sel & ~(1 << v)
+        # prefer the accumulated side; fall back to whichever fits n/2
+        if 2 * (sel.bit_count() + 1) > n and 2 * (other.bit_count() + 1) <= n:
+            sel = other
+    return sel | 1 << v
 
 
 def tree_exact_P2(T):
@@ -269,7 +259,7 @@ def tree_exact_P2(T):
     n, m = G.n, G.m
     if m == 0:
         return set()
-    sz, _ = _subtree_sizes(T)
+    sz = _subtree_sizes(T.order, T.parent)
     children = [[] for _ in range(n)]
     for u in range(n):
         if T.parent[u] >= 0:
@@ -299,7 +289,7 @@ def tree_lower_bound_partitions(T):
     n = G.n
     if n < 2:
         return []
-    sz, _ = _subtree_sizes(T)
+    sz = _subtree_sizes(T.order, T.parent)
 
     # Case I: an edge whose removal splits the tree into equal halves
     half_vertex = -1
@@ -314,23 +304,11 @@ def tree_lower_bound_partitions(T):
         sub_mask = closure(G.neighbor_masks, half_vertex, G.full_vertex_mask() & ~above)
         return _partitions_from_subtree(G, sub_mask, half_vertex)
 
-    # Case II: orient edges toward the larger side; find the unique sink
-    sink = -1
-    for v in range(n):
-        ok = True
-        for u in bits(G.neighbor_mask(v)):
-            side = sz[u] if T.parent[u] == v else n - sz[v]
-            if 2 * side >= n:
-                ok = False
-                break
-        if ok:
-            sink = v
-            break
-    if sink < 0:
-        raise ConstructionFailedError("no sink found in Case II")
+    # Case II: no edge halves the tree, so its centroid is the unique vertex
+    # whose branches all hold fewer than n/2 vertices
+    sink = centroid(T)
     comps = components(G, removed=1 << sink)
     comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
-    lo = (n - 1 + 2) // 3  # ceil((n-1)/3)
     if 3 * comps[0].bit_count() >= n - 1:
         tmask = comps[0] | (1 << sink)
     else:
@@ -346,25 +324,19 @@ def tree_lower_bound_partitions(T):
         if 2 * s < n:
             tmask = pref | (1 << sink)
         else:
-            suff = 0
-            for c in comps:
-                if not (c & pref):
-                    suff |= c
-            tmask = suff | (1 << sink)
+            tmask = G.full_vertex_mask() & ~pref  # the other components and the sink
     if 3 * tmask.bit_count() < n - 1:
         raise ConstructionFailedError("Case II chunk too small")
     return _partitions_from_subtree(G, tmask, sink)
 
 
 def _partitions_from_subtree(G, sub_mask, local_root):
-    """Run the split sequence inside G[sub_mask] (a subtree of the tree G) and
+    """Run the split sequence inside the subtree sub_mask of the tree G and
     turn each split into a 2-edge-partition of the whole tree."""
-    sub, vmap, _ = G.induced(sub_mask)
-    seq = nested_split_sequence(RootedTree(sub, vmap.index(local_root)))
+    items = _split_items(G.neighbor_masks, sub_mask, local_root)
     full = G.full_edge_mask()
     out = []
-    As = remap_masks([A for A, _, _ in seq.items], vmap)
-    for e1 in induced_edge_sets(G, As):
+    for e1 in induced_edge_sets(G, [A for A, _, _ in items]):
         e2 = full & ~e1
         if e1 and e2:
             out.append([e1, e2])

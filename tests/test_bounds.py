@@ -21,11 +21,13 @@ from partctl import (
     path_cut_partitions,
     random_connected_graph,
     random_tree,
+    spanning_tree,
     spanning_tree_packing,
     validate_edge_partition,
     validate_vertex_partition,
     vertex_partition_profile,
 )
+from partctl.bounds import _leaf_peel
 from partctl.errors import PackingInfeasibleError
 from partctl.splits import profile_of
 
@@ -405,3 +407,37 @@ def test_ordered_pi_bound_random():
             assert len(set(vecs)) == len(vecs) == rep.succeeded
             lower = -(-rep.succeeded // math.factorial(k))
             assert lower <= vertex_partition_profile(G, k).value
+
+
+def _leaf_peel_reference(H, r):
+    """The leaf peel over the spanning tree's edge list: tree degrees are
+    counted from the edges and lowered by a rescan of them after each peel."""
+    T = spanning_tree(H, 0)
+    tdeg = [0] * H.n
+    for u, v in T.graph.edges:
+        tdeg[u] += 1
+        tdeg[v] += 1
+    alive = H.full_vertex_mask()
+    parts = []
+    for _ in range(r - 1):
+        leaf = next(v for v in bits(alive) if tdeg[v] <= 1)
+        parts.append(1 << leaf)
+        alive &= ~(1 << leaf)
+        for u, v in T.graph.edges:
+            if u == leaf and (alive >> v) & 1:
+                tdeg[v] -= 1
+            elif v == leaf and (alive >> u) & 1:
+                tdeg[u] -= 1
+    parts.append(alive)
+    return parts
+
+
+def test_leaf_peel_matches_edge_scan_reference():
+    rng = random.Random(21)
+    for s in range(120):
+        n = rng.randint(1, 14)
+        G = random_connected_graph(n, rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n)), seed=s)
+        for r in range(1, n + 1):
+            parts = _leaf_peel(G, r)
+            assert parts == _leaf_peel_reference(G, r), (G.edges, r)
+            assert validate_vertex_partition(G, parts, k=r)

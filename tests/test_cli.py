@@ -208,13 +208,22 @@ def test_part_count_below_one_is_usage_error(tmp_path, capsys, argv):
     ("1 0\n", ("bounds", "--method", "cmc", "--r", "3")),
     ("1 0\n", ("bounds", "--method", "packing")),
     ("1 0\n", ("bounds", "--method", "packing", "--k", "3")),
+    ("4 3\n0 1\n1 2\n2 3\n", ("splits", "--out", "{dir}")),
+    ("4 4\n0 1\n1 2\n2 3\n0 3\n", ("bounds", "--method", "cmc", "--report", "{dir}")),
+    ("4 4\n0 1\n1 2\n2 3\n0 3\n", ("exact", "--what", "P", "--out", "{dir}")),
+    (None, ("verify", "--suite", "erdos-lehner", "--out", "{dir}")),
 ], ids=["splits-root-out-of-range", "negative-header", "cmc-fewer-vertices-than-r",
         "one-vertex-exact-cmc", "one-vertex-cut-bound", "one-vertex-cut-bound-r3",
-        "one-vertex-packing", "one-vertex-packing-k3"])
+        "one-vertex-packing", "one-vertex-packing-k3", "splits-out-is-directory",
+        "bounds-report-is-directory", "exact-out-is-directory", "verify-out-is-directory"])
 def test_bad_input_is_input_error(tmp_path, capsys, text, argv):
-    g = tmp_path / "g.txt"
-    g.write_text(text)
-    code, _, err = run(capsys, *argv, "--input", str(g))
+    # "{dir}" names a directory, where an output file cannot be written
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    if text is not None:
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        argv += ["--input", str(g)]
+    code, _, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("error: ")
     assert "Traceback" not in err

@@ -27,7 +27,7 @@ from partctl.errors import (
     SelfLoopError,
     VertexOutOfRangeError,
 )
-from partctl.graph import induced_edge_sets, remap_masks
+from partctl.graph import bfs_tree, induced_edge_sets
 
 
 def path(n):
@@ -111,10 +111,37 @@ def test_spanning_tree_bfs():
         spanning_tree(Graph(4, [(0, 1), (2, 3)]))
 
 
+def test_bfs_tree_on_a_mask_matches_queue_bfs():
+    rng = random.Random(17)
+    for _ in range(80):
+        n = rng.randint(1, 16)
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+        mask = rng.getrandbits(n)
+        if not mask:
+            continue
+        root = rng.choice(list(bits(mask)))
+        order, parent, tree = bfs_tree(G.neighbor_masks, root, mask)
+        want, want_parent, queue, seen = [], [-1] * n, [root], 1 << root
+        while queue:
+            v = queue.pop(0)
+            want.append(v)
+            for u in sorted(G.neighbors(v)):
+                if (mask >> u) & 1 and not (seen >> u) & 1:
+                    seen |= 1 << u
+                    want_parent[u] = v
+                    queue.append(u)
+        assert order == want and parent == want_parent
+        for v in range(n):
+            kids = mask_of(u for u in range(n) if want_parent[u] == v)
+            up = 1 << want_parent[v] if want_parent[v] >= 0 else 0
+            assert tree[v] == kids | up
+
+
 def test_rooted_tree_parent_map():
     T = RootedTree(path(4), 1)
     assert T.parent[1] == -1
     assert T.parent[0] == 1 and T.parent[2] == 1 and T.parent[3] == 2
+    assert T.order == (1, 0, 2, 3)
 
 
 def test_st_numbering_c4():
@@ -203,10 +230,6 @@ def _edges_inside(G, S):
     return mask_of(ei for ei, (u, v) in enumerate(G.edges) if (S >> u) & 1 and (S >> v) & 1)
 
 
-def _remap_bitwise(m, idmap):
-    return mask_of(idmap[i] for i in bits(m))
-
-
 def _chains(rng, n):
     """Vertex-mask sequences of every shape: nested increasing and decreasing,
     random masks (mixed adds and removes), repeats, and empty masks."""
@@ -227,12 +250,3 @@ def test_induced_edge_sets_match_brute_force():
             assert list(induced_edge_sets(G, chain)) == [_edges_inside(G, S) for S in chain]
         S = rng.getrandbits(n)
         assert G.edge_set_of_vertices(S) == _edges_inside(G, S)
-
-
-def test_remap_masks_matches_bitwise_remap():
-    rng = random.Random(12)
-    for _ in range(80):
-        n = rng.randint(1, 16)
-        idmap = rng.sample(range(3 * n), n)
-        for chain in _chains(rng, n):
-            assert list(remap_masks(chain, idmap)) == [_remap_bitwise(m, idmap) for m in chain]

@@ -10,6 +10,7 @@ from partctl import (
     Graph,
     RootedTree,
     bits,
+    components,
     edge_partition_profile,
     mask_of,
     nested_split_sequence,
@@ -61,7 +62,8 @@ def test_split_sequence_star():
 
 
 def test_split_sequence_path_endpoint():
-    for n in (2, 5, 9):
+    # a path rooted at an end is the deepest walk: one level per vertex
+    for n in (2, 5, 9, 1100):
         T = RootedTree(path(n), 0)
         seq = nested_split_sequence(T)
         assert len(seq) == n  # every level peels one vertex
@@ -154,7 +156,8 @@ def _reference_k_partitions(G, k):
             if full & ~e2 and e2:
                 out.append([full & ~e2, e2])
         return out
-    v, a1 = _centroid_chunk(T)
+    v = centroid(T)
+    a1 = _centroid_chunk(T.graph.neighbor_masks, T.graph.full_vertex_mask(), v)
     subT, tvmap, _ = T.graph.induced(a1)
     for _, B_loc, _ in nested_split_sequence(RootedTree(subT, tvmap.index(v))).items:
         B = G.full_vertex_mask() & ~a1 | mask_of(tvmap[i] for i in bits(B_loc))
@@ -185,6 +188,86 @@ def test_recursive_k_partitions_match_per_item_reference():
                     recursive_k_partitions(G, k)
                 continue
             assert recursive_k_partitions(G, k) == want, (G.edges, k)
+
+
+def test_recursive_k_partitions_builds_no_graph(monkeypatch):
+    G = random_connected_graph(14, 30, seed=3)
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    assert recursive_k_partitions(G, 3)
+    assert built == []
+
+
+def _orientation_sink(T):
+    """The vertex all of whose branches hold fewer than n/2 vertices, by a
+    scan of every vertex's branches with the edges oriented to the larger
+    side."""
+    G, n = T.graph, T.graph.n
+    sz = [1] * n
+    for v in reversed(T.order):
+        if T.parent[v] >= 0:
+            sz[T.parent[v]] += sz[v]
+    for v in range(n):
+        if all(2 * (sz[u] if T.parent[u] == v else n - sz[v]) < n
+               for u in bits(G.neighbor_mask(v))):
+            return v
+    return -1
+
+
+def test_centroid_is_orientation_sink_without_halving_edge():
+    rng = random.Random(13)
+    checked = 0
+    for i in range(300):
+        n = rng.randint(1, 60)
+        T = random_tree(n, seed=3000 + i)
+        T = RootedTree(T.graph, rng.randrange(n))
+        sink = _orientation_sink(T)
+        if sink >= 0:
+            assert centroid(T) == sink
+            checked += 1
+    assert checked > 150
+
+
+def _reference_centroid_chunk(T, v):
+    """The chunk around v from the components of T - v, the far side of the
+    accumulated components gathered by a scan of the components."""
+    n = T.graph.n
+    comps = sorted(components(T.graph, removed=1 << v),
+                   key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
+    if len(comps) <= 2:
+        sel = comps[-1]
+    elif 3 * comps[0].bit_count() >= n:
+        sel = comps[0]
+    else:
+        sel, s = 0, 0
+        for c in comps:
+            sel |= c
+            s += c.bit_count()
+            if 3 * s >= n - 1:
+                break
+        other = 0
+        for c in comps:
+            if not c & sel:
+                other |= c
+        if 2 * (sel.bit_count() + 1) > n and 2 * (other.bit_count() + 1) <= n:
+            sel = other
+    return sel | 1 << v
+
+
+def test_centroid_chunk_matches_component_reference():
+    rng = random.Random(15)
+    for i in range(300):
+        n = rng.randint(2, 40)
+        T = RootedTree(random_tree(n, seed=4000 + i).graph, rng.randrange(n))
+        v = centroid(T)
+        got = _centroid_chunk(T.graph.neighbor_masks, T.graph.full_vertex_mask(), v)
+        assert got == _reference_centroid_chunk(T, v), (T.graph.edges, T.root)
 
 
 def test_recursive_rejects_small():
