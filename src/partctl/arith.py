@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import OutOfRangeError
 
 DEFAULT_CAPACITY = 10**6
+SMALL_T = 4096  # t_value reads a table up to here, closed forms beyond
 
 
 @dataclass
@@ -80,11 +81,27 @@ def build_t_table(capacity=DEFAULT_CAPACITY):
 
 
 def t_value(n, capacity=None):
-    """Exact t(n) from the memoized recurrence table."""
+    """Exact t(n).
+
+    With ``capacity`` given, or for n <= SMALL_T, it is read from the memoized
+    recurrence table.  Beyond that it is the h whose closed-form preimage
+    interval holds n: the intervals for h >= 8 tile [24, inf) in order, so a
+    binary search over 8 <= h <= 3 * n.bit_length() finds it in O(log log n)
+    closed-form evaluations of O(log n)-digit integers, with no table.
+    """
     if n < 1:
         raise OutOfRangeError(f"n={n} must be positive")
-    cap = capacity or max(n, 4096)
-    return build_t_table(cap).t(n)
+    if capacity or n <= SMALL_T:
+        return build_t_table(capacity or SMALL_T).t(n)
+    # the interval of h = 3b, b = n.bit_length(), ends above 3^b > 2^b > n
+    lo, hi = 8, 3 * n.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if t_preimage_closed_form(mid)[1] < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def build_interval_table(capacity=DEFAULT_CAPACITY):

@@ -11,37 +11,62 @@ neighbor bitmasks).  P runs it over ``G.edge_adjacency()``, pi over
 The enumerator grows each connected part by its boundary and forbids every
 element it has rejected, so each connected set is visited exactly once.  Part
 1 of any partition is anchored at the lowest-id unused element, which kills
-the k! permutation symmetry.
+the k! permutation symmetry.  Each part starts with the elements of ``rem``
+(the elements not in a closed part) that its anchor cannot reach already
+rejected.  It could never add them, as it grows only by neighbours inside
+``rem``, so no child and no leaf changes; they only count as rejected in the
+component test below.
 
-A search node growing part j of k can be finished only if the residual (the
-unused elements outside the growing part) splits into at most k - j connected
-components.  A rejected element never joins the growing part, so it stays in
-the residual of every descendant; once rejected elements lie in more than k - j
-components the node is dead.  Neither test needs the full decomposition:
-``_count_components`` first closes the components that hold a rejected element,
-stopping as soon as there are too many, then counts the others only up to
-k - j + 1.  The nodes visited, and their order, are those of a full
-decomposition.
+A search node growing part j of k can be finished only if the residual
+``comp`` (the unused elements outside the growing part S) splits into at most
+k - j connected components.  A rejected element never joins S, so it stays in
+the residual of every descendant; once rejected elements lie in more than
+k - j components the node is dead, and with the unreachable elements rejected
+this fires as soon as the residual holds too many components S cannot reach.
+Neither test needs the full decomposition: ``_count_components`` first closes
+the components that hold a rejected element, stopping as soon as there are
+too many, then counts the others only up to k - j + 1.  A dead node holds no
+leaf, so the leaves and their order are those of a full decomposition.
 
 A profile search drops a subtree once every key it can reach is witnessed.
 At a node growing part j, the sizes c of the closed parts 1..j-1 are fixed.
-Its children end part j with s elements, |S| < s <= |S| + |free|, where free
-holds the unused elements outside S that have not been rejected, and
-s <= |rem| - parts_left, because each of the parts_left parts still to open
-needs an element of ``rem`` (the elements not in a closed part).  Those parts
-split the other |rem| - s elements.  So every key below the node is the
-sorted c + (s,) + p for such an s and an integer partition p of |rem| - s
-into parts_left positive parts, and when all of them are in the profile the
-subtree can add nothing: the skip is admissible at every level and for every
-k.  For k=2 it is a range of part-1 sizes.  Being fully witnessed is monotone,
-as the profile only grows, so ``_profile`` remembers the (c, s) pairs found
-full; for the others it remembers the profile size at the last failed check
-and checks again only once the profile has grown.
+Its children end part j as a connected S' that strictly contains S, and the
+parts_left parts still to open split the other |rem| - |S'| elements.  So
+every key below the node is the sorted c + (s,) + p for s = |S'| and an
+integer partition p of |rem| - s into parts_left positive parts, and the
+skip checks these keys for every s in a range lo..hi that holds all the
+sizes S' can reach:
+
+- s <= |rem| - parts_left, as each later part needs an element of ``rem``.
+- Reach: S' grows from S by elements it has not rejected, so it lies in R,
+  the closure of the anchor in ``rem`` minus the rejected elements, and
+  s <= |R|.
+- Held components: a rejected element ends in a later part, and a later part
+  is connected, so it lies inside one component of ``comp``.  When the
+  components that hold a rejected element number exactly parts_left, each of
+  them holds one later part and no later part lies elsewhere, so S' takes
+  every other component and s >= |S| + |comp outside them|.
+  ``_count_components`` has closed these components already and returns their
+  union.
+
+When every key for every s in the range is in the profile the subtree can add
+nothing: the skip is admissible at every level and for every k, and for k=2
+it is a range of part-1 sizes.  R costs a closure, so the search first
+bounds s by |S| plus the unrejected elements of ``comp``, a superset of R,
+asks for the least s in that range whose keys are not all witnessed, and
+computes R only when that s exceeds |S| + |avail|: avail, the neighbours of
+S a child may add, lies in R, so |R| is at least that.  The subtree is
+dropped when there is no such s, or when it exceeds |R| too.  Being
+fully witnessed is monotone, as the profile only grows, so ``_profile``
+remembers the (c, s) pairs found full; for the others it remembers the
+profile size at the last failed check and checks again only once the profile
+has grown.
 
 Without seeds every witness is the first partition with its key in
 enumeration order, as in the unpruned scan: a key enters the profile only at
 a leaf, so a subtree dropped because its keys are all recorded holds no first
-occurrence.  The edge search at k=2 is seeded before it starts with the
+occurrence, and the bounds above only leave out sizes no leaf of the subtree
+has.  The edge search at k=2 is seeded before it starts with the
 paper's split family, ``recursive_k_partitions(G, 2)``: the split sequence of
 the BFS spanning tree at root 0.  On ladders and twin cliques it witnesses the
 balanced keys that the enumeration would reach only in its last branch, so
@@ -49,7 +74,8 @@ the skip fires early.  The profile stays exact: every seed is a connected
 partition, so it adds only true keys.  Seeds change which partition
 witnesses a seeded key, so k >= 3 is not seeded and keeps its witnesses.
 
-``cmc`` keeps its own copy of the search, as a branch-and-bound.  It carries
+``cmc`` keeps its own copy of the search, as a branch-and-bound, and starts
+each part with the unreachable elements rejected too.  It carries
 the cut down the recursion instead of recounting it at each leaf:
 ``committed`` is the cut of the closed parts, ``bdry`` the number of edges
 from S (the growing part) to the rest of ``rem`` (the vertices not in a closed
@@ -138,39 +164,46 @@ def cut_size(G, parts):
 
 
 def _count_components(adj, comp, forb, limit):
-    """Number of connected components of ``comp``, counted no further than
-    ``limit + 1``, or -1 when more than ``limit`` of them hold an element of
-    ``forb`` (a subset of ``comp``)."""
+    """Connected components of ``comp``, counted no further than ``limit + 1``,
+    as ``(count, held)``.  ``held`` is the union of the components that hold an
+    element of ``forb`` (a subset of ``comp``) when exactly ``limit`` of them
+    do, and 0 otherwise.  ``count`` is -1 when more than ``limit`` do."""
     count = 0
+    held = 0
     while forb:
         count += 1
         if count > limit:
-            return -1
+            return -1, 0
         c = closure(adj, (forb & -forb).bit_length() - 1, comp)
+        held |= c
         comp &= ~c
         forb &= ~c
+    if count < limit:
+        held = 0
     while comp:
         count += 1
         if count > limit:
             break
         comp &= ~closure(adj, (comp & -comp).bit_length() - 1, comp)
-    return count
+    return count, held
 
 
-def _connected_partitions(adj, size, k, leaf, skip=None):
+def _connected_partitions(adj, size, k, leaf, first_missing=None):
     """Call ``leaf(parts)`` once for every partition of the elements
     0..size-1 into k >= 2 parts that are each connected along ``adj``.
 
     At a node growing part j, ``closed`` is the descending tuple of the sizes
     of parts 1..j-1.  When the node's children would end part j with between
-    lo and hi elements, they are dropped with their subtrees if
-    ``skip(closed, lo, hi)`` is true.
+    lo and hi elements, ``first_missing(closed, lo, hi)`` returns the least of
+    those sizes whose keys are not all recorded, or None; the children are
+    dropped with their subtrees when it returns None or a size beyond their
+    reach.
     """
 
     # cap: the most elements part j can end with, leaving one per later part
     def grow(rem, acc, closed, cap, parts_left, S, cand, forb):
         comp = rem & ~S
-        count = _count_components(adj, comp, forb, parts_left)
+        count, held = _count_components(adj, comp, forb, parts_left)
         if count < 0:
             return
         if comp and count <= parts_left:
@@ -179,10 +212,15 @@ def _connected_partitions(adj, size, k, leaf, skip=None):
             else:
                 descend(comp, acc + [S])
         avail = cand & ~forb & comp
-        if skip is not None and avail:
+        if first_missing is not None and avail:
             ssz = S.bit_count()
+            # every later part lies in a held component: part j takes the rest
+            lo = ssz + max(1, (comp & ~held).bit_count()) if held else ssz + 1
             hi = ssz + (comp & ~forb).bit_count()
-            if skip(closed, ssz + 1, hi if hi < cap else cap):
+            s = first_missing(closed, lo, hi if hi < cap else cap)
+            # part j ends inside its reach, which holds at least S and avail
+            if s is None or (s > ssz + avail.bit_count() and
+                             s > closure(adj, (S & -S).bit_length() - 1, rem & ~forb).bit_count()):
                 return
         f = forb
         while avail:
@@ -194,8 +232,10 @@ def _connected_partitions(adj, size, k, leaf, skip=None):
     def descend(rem, acc):
         parts_left = k - 1 - len(acc)
         anchor = rem & -rem
+        a = anchor.bit_length() - 1
+        # the elements the anchor cannot reach start out rejected
         grow(rem, acc, profile_of(acc), rem.bit_count() - parts_left, parts_left,
-             anchor, adj[anchor.bit_length() - 1] & rem, 0)
+             anchor, adj[a] & rem, rem & ~closure(adj, a, rem))
 
     descend((1 << size) - 1, [])
 
@@ -213,24 +253,24 @@ def _profile(adj, size, k, seeds):
     # once every key is in (final, as the profile only grows)
     checked = {}
 
-    def all_keys_taken(closed, lo, hi):
+    def first_missing(closed, lo, hi):
         n = len(profile)
         for s in range(lo, hi + 1):
             seen = checked.get((closed, s))
             if seen == -1:
                 continue
             if seen == n:
-                return False
+                return s
             head = closed + (s,)
             later = k - len(head)
             for a in ascending_compositions(size - sum(head) - later, later):
                 if tuple(sorted(head + tuple(1 + x for x in a), reverse=True)) not in profile:
                     checked[closed, s] = n
-                    return False
+                    return s
             checked[closed, s] = -1
-        return True
+        return None
 
-    _connected_partitions(adj, size, k, result.record, all_keys_taken)
+    _connected_partitions(adj, size, k, result.record, first_missing)
     return result
 
 
@@ -297,7 +337,7 @@ def cmc(G, r=2, max_vertices=None):
         nonlocal best, witness
         comp = rem & ~S
         parts_left = r - j
-        count = _count_components(nbr, comp, forb, parts_left)
+        count, _ = _count_components(nbr, comp, forb, parts_left)
         if count < 0:
             return
         if comp and count <= parts_left:
@@ -322,8 +362,10 @@ def cmc(G, r=2, max_vertices=None):
 
     def descend(rem, acc, j, committed, ub):
         anchor = rem & -rem
-        nv = nbr[anchor.bit_length() - 1]
-        grow(rem, acc, j, anchor, nv & rem, 0, committed, (nv & rem).bit_count(), ub)
+        a = anchor.bit_length() - 1
+        nv = nbr[a]
+        grow(rem, acc, j, anchor, nv & rem, rem & ~closure(nbr, a, rem), committed,
+             (nv & rem).bit_count(), ub)
 
     descend(G.full_vertex_mask(), [], 1, 0, G.m - G.n + r)
     return CutWitness(witness, best)

@@ -75,6 +75,19 @@ def test_closed_form_matches_table():
         t_preimage_closed_form(7)
 
 
+def test_t_value_closed_form_search_matches_table():
+    # beyond SMALL_T, t_value searches the closed-form intervals; the table
+    # is the reference for every n <= 10^5 and at each interval edge to 10^6
+    vals = build_t_table(10**6).values
+    assert [t_value(n) for n in range(1, 10**5 + 1)] == vals[1 : 10**5 + 1]
+    for lo, hi in build_interval_table(10**6).intervals:
+        for n in (lo - 1, lo, hi, hi + 1):
+            if 1 <= n <= 10**6:
+                assert t_value(n) == vals[n], n
+    # the anchor identity t(10 * 3^l) = t(10) + 3l at an n no table could hold
+    assert t_value(10 * 3**200) == t_value(10) + 600
+
+
 def test_monotone():
     tab = build_t_table(5000)
     assert all(tab.values[n] <= tab.values[n + 1] for n in range(1, 5000))

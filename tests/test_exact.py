@@ -17,6 +17,7 @@ from partctl import (
     validate_vertex_partition,
     vertex_partition_profile,
 )
+from partctl import exact
 from partctl.errors import DisconnectedError, SizeMismatchError, TooLargeError
 from partctl.exact import ProfileResult, cut_size, iter_connected_vertex_partitions
 
@@ -113,6 +114,36 @@ def test_skip_bounds_the_leaves_visited(monkeypatch):
         leaves.clear()
         solve(G, k)
         assert len(leaves) <= most, (k, len(leaves))
+
+
+def binary_tree_with_chords(height, chords):
+    """Complete binary tree (heap labels) plus the first ``chords`` edges
+    joining sibling leaves."""
+    n = 2 ** (height + 1) - 1
+    edges = [((v - 1) // 2, v) for v in range(1, n)]
+    edges += [(v, v + 1) for v in range(n // 2, n, 2)][:chords]
+    return Graph(n, sorted(edges))
+
+
+def test_skip_bounds_the_search_nodes_visited(monkeypatch):
+    # every search node calls _count_components once; with the size range
+    # bounded by reach and by held components, these visit 1012, 1413, 353 and
+    # 43835 nodes, against 33327, 60971, 5949 and 130053 with the range
+    # |S|+1 .. |S|+|unrejected|
+    nodes = []
+    count = exact._count_components
+    monkeypatch.setattr(exact, "_count_components",
+                        lambda *args: nodes.append(1) or count(*args))
+    nonmonotone = make_nonmonotone_example()[0]
+    for G, k, most in (
+        (binary_tree_with_chords(5, 0), 2, 1100),
+        (binary_tree_with_chords(5, 16), 2, 1550),
+        (nonmonotone, 2, 400),
+        (nonmonotone, 3, 48000),
+    ):
+        nodes.clear()
+        edge_partition_profile(G, k, max_edges=G.m)
+        assert len(nodes) <= most, (G.m, k, len(nodes))
 
 
 def test_vertex_profile_path():

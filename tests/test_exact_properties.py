@@ -28,6 +28,7 @@ from partctl import (
     vertex_partition_profile,
 )
 from partctl.exact import iter_connected_vertex_partitions
+from partctl.graph import closure
 
 
 def _connected(adj, members):
@@ -89,6 +90,16 @@ def graphs(seed, count, max_n, max_m):
         yield random_connected_graph(n, m, seed=seed * 1000 + i)
 
 
+def sparse_graphs(seed, count, max_n):
+    """Seeded random trees with n <= max_n plus 0-3 chords: their residuals
+    fall apart, so the skip's held-component and reach bounds fire."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(3, max_n)
+        chords = rng.randint(0, min(3, (n - 1) * (n - 2) // 2))
+        yield random_connected_graph(n, n - 1 + chords, seed=seed * 1000 + i)
+
+
 def check_profiles(G, solve, adj, validate, ks):
     for k in ks:
         res = solve(G, k)
@@ -100,8 +111,9 @@ def check_profiles(G, solve, adj, validate, ks):
 
 def test_edge_profiles_match_brute_force():
     # the oracle tries k^(m-1) assignments, so k=4 runs on smaller graphs
-    for seed, max_n, max_m, ks in ((1, 8, 10, (2, 3)), (11, 7, 8, (4,))):
-        for G in graphs(seed, 40, max_n, max_m):
+    for inputs, ks in ((graphs(1, 40, 8, 10), (2, 3)), (graphs(11, 40, 7, 8), (4,)),
+                       (sparse_graphs(21, 40, 8), (2, 3)), (sparse_graphs(22, 40, 6), (4,))):
+        for G in inputs:
             check_profiles(G, edge_partition_profile, edge_adj(G), validate_edge_partition, ks)
 
 
@@ -175,7 +187,7 @@ def test_witnesses_are_first_occurrences_of_the_unpruned_scan():
     # the skip drops only subtrees whose keys are all recorded, so without
     # seeds each witness is the first partition with its key in enumeration
     # order; P at k=2 is seeded, so only its profile is compared
-    for G in graphs(8, 40, 9, 12):
+    for G in itertools.chain(graphs(8, 40, 9, 12), sparse_graphs(23, 40, 9)):
         L = line_graph(G)
         for k in (2, 3, 4):
             pi, P = vertex_partition_profile(G, k), edge_partition_profile(G, k)
@@ -186,6 +198,64 @@ def test_witnesses_are_first_occurrences_of_the_unpruned_scan():
                 assert res.profile == first.keys(), (G.edges, H is L, k)
                 if H is G or k > 2:
                     assert res.witnesses == first, (G.edges, H is L, k)
+
+
+def unseeded_partitions(G, r):
+    """The unpruned enumerator as it was before it started each part with the
+    elements its anchor cannot reach already rejected."""
+    adj = G.neighbor_masks
+    out = []
+
+    def count_components(comp, forb, limit):
+        count = 0
+        while forb:
+            count += 1
+            if count > limit:
+                return -1
+            c = closure(adj, (forb & -forb).bit_length() - 1, comp)
+            comp &= ~c
+            forb &= ~c
+        while comp:
+            count += 1
+            if count > limit:
+                break
+            comp &= ~closure(adj, (comp & -comp).bit_length() - 1, comp)
+        return count
+
+    def grow(rem, acc, parts_left, S, cand, forb):
+        comp = rem & ~S
+        count = count_components(comp, forb, parts_left)
+        if count < 0:
+            return
+        if comp and count <= parts_left:
+            if parts_left == 1:
+                out.append(acc + [S, comp])
+            else:
+                descend(comp, acc + [S])
+        avail = cand & ~forb & comp
+        f = forb
+        while avail:
+            b = avail & -avail
+            grow(rem, acc, parts_left, S | b, cand | adj[b.bit_length() - 1], f)
+            avail ^= b
+            f |= b
+
+    def descend(rem, acc):
+        anchor = rem & -rem
+        grow(rem, acc, r - 1 - len(acc), anchor, adj[anchor.bit_length() - 1] & rem, 0)
+
+    descend(G.full_vertex_mask(), [])
+    return out
+
+
+def test_unreachable_seed_keeps_the_leaves_and_their_order():
+    # rejecting up front what the anchor cannot reach prunes only nodes whose
+    # residual already has too many components, which hold no leaf
+    for G in itertools.chain(sparse_graphs(24, 30, 11), graphs(25, 30, 11, 16)):
+        for r in (3, 4):
+            if r <= G.n:
+                assert iter_connected_vertex_partitions(G, r) == unseeded_partitions(G, r), (
+                    G.edges, r)
 
 
 def members(mask):
