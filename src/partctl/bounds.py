@@ -5,7 +5,9 @@ vertex-partition family.
 
 Every pipeline re-verifies the guarantees it relies on (connectivity of each
 emitted part, core minimum degree, packing feasibility) instead of assuming
-them, and returns a machine-readable report next to its partitions.
+them, and returns a machine-readable report next to its partitions.  The
+pipelines run in the input graph's own vertex and edge ids, on the dense
+core's vertex mask.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from .arith import ascending_compositions
 from .errors import (
     ConstructionFailedError,
     DisconnectedError,
+    EmptySetError,
     PackingInfeasibleError,
     TooSmallError,
 )
-from .exact import CutWitness, cut_size, gyori_lovasz, validate_vertex_partition
+from .exact import CutWitness, cut_size, prescribed_partition, validate_vertex_partition
 from .graph import (
     Graph,
     bfs_tree,
@@ -30,6 +33,7 @@ from .graph import (
     is_connected,
     is_connected_edge_set,
     is_connected_vertex_set,
+    mask_of,
     min_degree,
     st_numbering,
 )
@@ -45,9 +49,6 @@ class CoreSubgraph:
     vertices: int  # vertex bitmask
     min_degree: int
     peel_trace: list  # removal order
-
-    def induced(self):
-        return self.parent.induced(self.vertices)
 
     @property
     def size(self):
@@ -83,21 +84,25 @@ def dense_core(G):
     return CoreSubgraph(G, core, dmin, trace)
 
 
-def long_path(H):
-    """Greedy path, extended at both endpoints until each endpoint has all
-    its neighbors on the path; at least min_degree(H)+1 vertices."""
-    path = deque([0 if H.n else -1])
-    onpath = 1
+def long_path(G, mask):
+    """Greedy path in the subgraph H induced by vertex bitmask ``mask``, from
+    its lowest vertex, extended at both endpoints until each endpoint has all
+    its neighbors in H on the path; at least min_degree(H)+1 vertices."""
+    if not mask:
+        raise EmptySetError("empty vertex set")
+    start = (mask & -mask).bit_length() - 1
+    path = deque([start])
+    onpath = 1 << start
     while True:
         tail = path[-1]
-        cand = H.neighbor_mask(tail) & ~onpath
+        cand = G.neighbor_mask(tail) & mask & ~onpath
         if cand:
             v = (cand & -cand).bit_length() - 1
             path.append(v)
             onpath |= 1 << v
             continue
         head = path[0]
-        cand = H.neighbor_mask(head) & ~onpath
+        cand = G.neighbor_mask(head) & mask & ~onpath
         if cand:
             v = (cand & -cand).bit_length() - 1
             path.appendleft(v)
@@ -129,9 +134,8 @@ def path_cut_partitions(G):
     if not is_connected(G):
         raise DisconnectedError("path-cut pipeline needs a connected graph")
     core = dense_core(G)
-    Hsub, vmap, _ = core.induced()
     delta = core.min_degree
-    path = [vmap[v] for v in long_path(Hsub)]
+    path = long_path(G, core.vertices)
     t = max(1, (delta + 1) // 2)
     prefix = path[:t]
     pset = 0
@@ -214,20 +218,23 @@ def _single_edge_split(G):
 @dataclass
 class TreePacking:
     graph: Graph
-    trees: list  # k edge bitmasks, each a spanning tree
-    leftover: int  # edge bitmask
+    vertices: int  # vertex bitmask the trees span
+    trees: list  # k edge bitmasks, each a spanning tree of G[vertices]
+    leftover: int  # edge bitmask, the rest of E(vertices)
 
 
-def spanning_tree_packing(G, k):
-    """k edge-disjoint spanning trees via incremental matroid-union
-    augmentation; deterministic edge order.  Raises PackingInfeasibleError
-    with the final forests if G has no such packing.
+def spanning_tree_packing(G, k, mask):
+    """k edge-disjoint spanning trees of the subgraph induced by vertex
+    bitmask ``mask``, via incremental matroid-union augmentation;
+    deterministic edge order.  Raises PackingInfeasibleError with the final
+    forests if that subgraph has no such packing.
 
-    Edges are added in id order.  For edge e, a BFS over exchange edges
-    (``prevE``) looks, for each edge f it reaches, at every forest i that
-    does not own f: if f joins two trees of forest i, the chain of swaps
-    back to e is applied; otherwise the edges on f's cycle in forest i are
-    queued.  An edge for which no swap chain exists stays in the leftover.
+    The edges of E(mask) are added in ascending id order.  For edge e, a BFS
+    over exchange edges (``prevE``) looks, for each edge f it reaches, at
+    every forest i that does not own f: if f joins two trees of forest i, the
+    chain of swaps back to e is applied; otherwise the edges on f's cycle in
+    forest i are queued.  An edge for which no swap chain exists stays in the
+    leftover.
 
     Cycle queries read rooted forests: each forest gets, per vertex, its
     parent, parent edge, depth and tree root, built on the first query that
@@ -238,16 +245,17 @@ def spanning_tree_packing(G, k):
     from ``dst`` back to ``src``, so the BFS queues the same edges in the
     same order whichever vertex a tree is rooted at, and the trees, the
     leftover and the infeasible forests depend only on the edge order."""
-    if not is_connected(G):
+    if not is_connected_vertex_set(G, mask):
         raise DisconnectedError("packing needs a connected graph")
-    n, m = G.n, G.m
-    owner = [-1] * m
+    n = G.n
+    need = mask.bit_count() - 1  # edges in each spanning tree
+    owner = [-1] * G.m
     fadj = [[[] for _ in range(n)] for _ in range(k)]  # forest -> vertex -> [(nbr, eid)]
     rooted = [None] * k  # forest -> (parent, parent edge, depth, root) lists
 
     def root_forest(i):
         parent, pedge, depth, root = [-1] * n, [-1] * n, [0] * n, [-1] * n
-        for r in range(n):
+        for r in bits(mask):
             if root[r] >= 0:
                 continue
             root[r] = r
@@ -292,7 +300,8 @@ def spanning_tree_packing(G, k):
         fadj[i][v].remove((u, eid))
         rooted[i] = None
 
-    for e in range(m):
+    edges = G.edge_set_of_vertices(mask)
+    for e in bits(edges):
         prevE = {e: None}
         q = deque([e])
         found = None
@@ -327,14 +336,14 @@ def spanning_tree_packing(G, k):
     for eid, o in enumerate(owner):
         if o >= 0:
             trees[o] |= 1 << eid
-    if any(t.bit_count() != n - 1 for t in trees):
+    if any(t.bit_count() != need for t in trees):
         raise PackingInfeasibleError(
             f"no {k} edge-disjoint spanning trees (forest sizes "
-            f"{[t.bit_count() for t in trees]}, need {n - 1})",
+            f"{[t.bit_count() for t in trees]}, need {need})",
             forests=trees,
         )
-    leftover = G.full_edge_mask() & ~sum(trees)
-    packing = TreePacking(G, trees, leftover)
+    leftover = edges & ~sum(trees)
+    packing = TreePacking(G, mask, trees, leftover)
     _check_packing(packing, k)
     return packing
 
@@ -351,7 +360,7 @@ def _check_packing(packing, k):
         for eid in bits(t):
             u, v = G.edges[eid]
             touched |= (1 << u) | (1 << v)
-        if touched != G.full_vertex_mask():
+        if touched != packing.vertices:
             raise ConstructionFailedError("forest does not span")
         if not _acyclic(G, t):
             raise ConstructionFailedError("forest has a cycle")
@@ -397,21 +406,9 @@ def packing_partitions(G, k):
     if not is_connected(G):
         raise DisconnectedError("packing pipeline needs a connected graph")
     core = dense_core(G)
-    Hsub, _, emap = core.induced()
-    packing = spanning_tree_packing(Hsub, k)  # may raise PackingInfeasibleError
-
-    def to_parent(local_mask):
-        out = 0
-        for j in bits(local_mask):
-            out |= 1 << emap[j]
-        return out
-
-    trees = [to_parent(t) for t in packing.trees]
-    leftover_ids = [emap[j] for j in bits(packing.leftover)]
-    core_edges = 0
-    for ei in emap:
-        core_edges |= 1 << ei
-    outside = G.full_edge_mask() & ~core_edges
+    packing = spanning_tree_packing(G, k, core.vertices)  # may raise PackingInfeasibleError
+    leftover_ids = list(bits(packing.leftover))
+    outside = G.full_edge_mask() & ~G.edge_set_of_vertices(core.vertices)
 
     out = []
     for sizes in ascending_compositions(len(leftover_ids), k):
@@ -422,7 +419,7 @@ def packing_partitions(G, k):
                 bm |= 1 << ei
             blocks_.append(bm)
             at += a
-        parts = [trees[i] | blocks_[i] for i in range(k)]
+        parts = [packing.trees[i] | blocks_[i] for i in range(k)]
         parts[k - 1] |= outside
         if not validate_edge_partition(G, parts, k=k):
             raise ConstructionFailedError("packing partition failed validation")
@@ -464,49 +461,38 @@ def connected_cut_bound(G, r=2):
     if G.n < r:
         raise TooSmallError(f"cannot cut {G.n} vertices into {r} parts")
     core = dense_core(G)
-    Hsub, vmap, _ = core.induced()
+    H, n_core = core.vertices, core.size
     delta = core.min_degree
 
     if r == 2:
-        if Hsub.m == 0:
+        if n_core == 1:
             # core is a single vertex: G is a single vertex too (guarded
             # above), so this only happens for degenerate inputs
             raise ConstructionFailedError("core has no edges")
-        blks = blocks(Hsub)
+        blks = blocks(G, H)
         blks.sort(key=lambda bm: (-bm.bit_count(), (bm & -bm).bit_length()))
         bmask = blks[0]
-        Bsub, bvmap, _ = Hsub.induced(bmask)
-        s = max(1, min((delta + 1) // 2, Bsub.n - 1))
-        order = st_numbering(Bsub, 0, Bsub.n - 1)
-        a = 0
-        for lv in order[:s]:
-            a |= 1 << vmap[bvmap[lv]]
-        b = 0
-        for lv in order[s:]:
-            b |= 1 << vmap[bvmap[lv]]
-        parts = [a, b]
+        s = max(1, min((delta + 1) // 2, bmask.bit_count() - 1))
+        lo, hi = (bmask & -bmask).bit_length() - 1, bmask.bit_length() - 1
+        order = st_numbering(G, lo, hi, bmask)
+        a = mask_of(order[:s])
+        parts = [a, bmask & ~a]
     else:
-        if Hsub.n < r:
+        if n_core < r:
             raise ConstructionFailedError(f"core smaller than r={r}")
         s = max(1, delta // (2 * r))
-        while (r - 1) * s >= Hsub.n:
+        while (r - 1) * s >= n_core:
             s -= 1
         if s < 1:
             raise ConstructionFailedError(f"core smaller than r={r}")
-        sizes = [s] * (r - 1) + [Hsub.n - (r - 1) * s]
-        local = None
-        if Hsub.n <= 16:
-            local = gyori_lovasz(Hsub, sizes)
-        if local is None:
-            local = _greedy_regions(Hsub, sizes)
-        if local is None:
-            local = _leaf_peel(Hsub, r)
-        parts = []
-        for p in local:
-            gm = 0
-            for lv in bits(p):
-                gm |= 1 << vmap[lv]
-            parts.append(gm)
+        sizes = [s] * (r - 1) + [n_core - (r - 1) * s]
+        parts = None
+        if n_core <= 16:
+            parts = prescribed_partition(G, sizes, H)
+        if parts is None:
+            parts = _greedy_regions(G, sizes, H)
+        if parts is None:
+            parts = _leaf_peel(G, r, H)
 
     assigned = 0
     for p in parts:
@@ -517,10 +503,11 @@ def connected_cut_bound(G, r=2):
     return CutWitness(parts, cut_size(G, parts))
 
 
-def _greedy_regions(H, sizes):
-    """BFS region growing: parts of the requested sizes, last part is the
-    remainder (validated for connectivity)."""
-    remaining = H.full_vertex_mask()
+def _greedy_regions(G, sizes, mask):
+    """BFS region growing in the vertex bitmask ``mask``: parts of the
+    requested sizes, last part is the remainder (validated for
+    connectivity)."""
+    remaining = mask
     parts = []
     for s in sizes[:-1]:
         seed = (remaining & -remaining).bit_length() - 1
@@ -528,7 +515,7 @@ def _greedy_regions(H, sizes):
         frontier = deque([seed])
         while S.bit_count() < s and frontier:
             x = frontier.popleft()
-            for y in bits(H.neighbor_mask(x) & remaining & ~S):
+            for y in bits(G.neighbor_mask(x) & remaining & ~S):
                 if S.bit_count() >= s:
                     break
                 S |= 1 << y
@@ -537,19 +524,19 @@ def _greedy_regions(H, sizes):
             return None
         parts.append(S)
         remaining &= ~S
-    if remaining == 0:
+    # the grown parts are connected by construction
+    if remaining == 0 or not is_connected_vertex_set(G, remaining):
         return None
     parts.append(remaining)
-    if not validate_vertex_partition(H, parts):
-        return None
     return parts
 
 
-def _leaf_peel(H, r):
-    """Always-valid fallback partition: r-1 spanning-tree leaves become
-    singleton parts, the remaining tree is the last part."""
-    alive = H.full_vertex_mask()
-    _, _, tree = bfs_tree(H.neighbor_masks, 0, alive)
+def _leaf_peel(G, r, mask):
+    """Always-valid fallback partition of the connected vertex bitmask
+    ``mask``: r-1 spanning-tree leaves become singleton parts, the remaining
+    tree is the last part."""
+    alive = mask
+    _, _, tree = bfs_tree(G.neighbor_masks, (mask & -mask).bit_length() - 1, alive)
     parts = []
     for _ in range(r - 1):
         leaf = next(v for v in bits(alive) if (tree[v] & alive).bit_count() <= 1)
@@ -579,11 +566,8 @@ def ordered_vertex_partitions(G, k):
     if not is_connected(G):
         raise DisconnectedError("ordered partitions need a connected graph")
     core = dense_core(G)
-    Hsub, vmap, _ = core.induced()
-    path = [vmap[v] for v in long_path(Hsub)]
-    hmask = 0
-    for lv in range(Hsub.n):
-        hmask |= 1 << vmap[lv]
+    hmask = core.vertices
+    path = long_path(G, hmask)
 
     report = OrderedPartitionReport(
         core_size=core.size, delta_core=core.min_degree, path_len=len(path)
@@ -635,17 +619,13 @@ def ordered_vertex_partitions(G, k):
         if xk == 0 or not is_connected_vertex_set(G, xk):
             continue
         parts = xs + [xk]
-        ok = True
+        # G is connected and the parts cover the core, so every outside
+        # component touches one of them
         for ci, c in enumerate(outside):
             for j in range(k):
                 if outside_nbr[ci] & parts[j]:
                     parts[j] |= c
                     break
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
         if not validate_vertex_partition(G, parts, k=k):
             raise ConstructionFailedError("ordered partition failed validation")
         vec = tuple(p.bit_count() for p in parts)

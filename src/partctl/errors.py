@@ -53,7 +53,9 @@ class PackingInfeasibleError(PartctlError):
     """Raised when k edge-disjoint spanning trees do not exist.
 
     Carries the final forests reached by the augmentation as a partial
-    witness in ``forests`` (list of edge bitmasks).
+    witness in ``forests``: a list of edge bitmasks in the edge ids of the
+    graph that was packed, which for ``packing_partitions`` is its input
+    graph (each forest lies inside the dense core's edges).
     """
 
     def __init__(self, msg, forests=None):

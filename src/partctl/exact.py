@@ -397,14 +397,22 @@ def gyori_lovasz(G, sizes, max_vertices=16):
     if k == 1:
         return [G.full_vertex_mask()] if is_connected(G) else None
     if k == 2 and is_biconnected(G):
-        order = st_numbering(G, 0, G.n - 1)
+        order = st_numbering(G, 0, G.n - 1, G.full_vertex_mask())
         a = 0
         for v in order[: sizes[0]]:
             a |= 1 << v
         return [a, G.full_vertex_mask() & ~a]
     if G.n > max_vertices:
         raise TooLargeError(f"n={G.n} exceeds search budget {max_vertices}")
+    return prescribed_partition(G, sizes, G.full_vertex_mask())
 
+
+def prescribed_partition(G, sizes, mask):
+    """A partition of the vertex bitmask ``mask`` into connected parts of the
+    given sizes (each >= 1, summing to its size), listed in the order of
+    ``sizes``, or None: an exhaustive search that cuts, part by part, a
+    connected set holding the lowest remaining vertex, trying the sizes in
+    ascending order."""
     nbr = G.neighbor_masks
 
     def connected_sets_of_size(allowed, anchor_bit, s):
@@ -445,7 +453,7 @@ def gyori_lovasz(G, sizes, max_vertices=16):
                     return [S] + sub
         return None
 
-    parts = search(G.full_vertex_mask(), sorted(sizes))
+    parts = search(mask, sorted(sizes))
     if parts is None:
         return None
     # reorder the found parts to match the requested size order

@@ -298,8 +298,9 @@ def min_degree(G):
     return min(len(a) for a in G.adj) if G.n else 0
 
 
-def blocks(G):
-    """2-connected blocks as vertex bitmasks, via lowpoint DFS.
+def blocks(G, mask):
+    """2-connected blocks of the subgraph induced by vertex bitmask ``mask``,
+    as vertex bitmasks, via lowpoint DFS.
 
     Bridges yield 2-vertex blocks.  Isolated vertices yield no block.  Output
     sorted by (smallest vertex, mask) for determinism.
@@ -308,10 +309,14 @@ def blocks(G):
     low = [0] * G.n
     out = []
     counter = 0
-    for start in range(G.n):
-        if disc[start] != -1 or G.degree(start) == 0:
+
+    def neighbors(v):
+        return bits(G.neighbor_masks[v] & mask)
+
+    for start in bits(mask):
+        if disc[start] != -1 or not G.neighbor_masks[start] & mask:
             continue
-        stack = [(start, -1, iter(G.neighbors(start)))]
+        stack = [(start, -1, neighbors(start))]
         disc[start] = low[start] = counter
         counter += 1
         estack = []  # vertex-pair stack for block extraction
@@ -327,7 +332,7 @@ def blocks(G):
                     estack.append((v, u))
                     disc[u] = low[u] = counter
                     counter += 1
-                    stack.append((u, v, iter(G.neighbors(u))))
+                    stack.append((u, v, neighbors(u)))
                     advanced = True
                     break
                 elif disc[u] < disc[v]:
@@ -353,26 +358,24 @@ def blocks(G):
 
 
 def is_biconnected(G):
-    if G.n < 2 or not is_connected(G):
-        return False
-    if G.n == 2:
-        return G.m == 1
-    return len(blocks(G)) == 1
+    full = G.full_vertex_mask()
+    return blocks(G, full) == [full]
 
 
-def st_numbering(G, s, t):
-    """Ordering of V starting at s and ending at t in which every prefix and
-    every suffix induces a connected subgraph.
+def st_numbering(G, s, t, mask):
+    """Ordering of the vertex bitmask ``mask``, starting at s and ending at t,
+    in which every prefix and every suffix induces a connected subgraph.
 
     Classic lowpoint construction on a DFS from s that visits t first (the
     st-edge is treated as virtual if absent, which is sound because the
-    prefix/suffix property never uses it).  Requires a 2-connected graph.
+    prefix/suffix property never uses it).  Requires the subgraph induced by
+    ``mask`` to be 2-connected, with s and t two of its vertices.
     """
-    if s == t:
-        raise NotBiconnectedError("s and t must differ")
-    if not is_biconnected(G):
+    if s == t or not (mask >> s) & (mask >> t) & 1:
+        raise NotBiconnectedError("s and t must be two distinct vertices of the mask")
+    if blocks(G, mask) != [mask]:
         raise NotBiconnectedError("graph is not 2-connected")
-    if G.n == 2:
+    if mask.bit_count() == 2:
         return [s, t]
 
     pre = [-1] * G.n
@@ -380,8 +383,11 @@ def st_numbering(G, s, t):
     lowv = list(range(G.n))  # vertex of smallest preorder reachable
     preorder = []
 
+    def neighbors(v):
+        return list(bits(G.neighbor_masks[v] & mask))
+
     def dfs_children(v):
-        nbrs = G.neighbors(v)
+        nbrs = neighbors(v)
         if v == s:
             # force t as the first child (virtual st edge if needed)
             nbrs = [t] + [u for u in nbrs if u != t]
@@ -445,9 +451,9 @@ def st_numbering(G, s, t):
     # safety net: verify the defining property
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
-        if v != s and all(pos[u] > pos[v] for u in G.neighbors(v)):
+        if v != s and all(pos[u] > pos[v] for u in neighbors(v)):
             raise NotBiconnectedError("st-numbering failed validation")
-        if v != t and all(pos[u] < pos[v] for u in G.neighbors(v)):
+        if v != t and all(pos[u] < pos[v] for u in neighbors(v)):
             raise NotBiconnectedError("st-numbering failed validation")
     return order
 

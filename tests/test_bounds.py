@@ -8,6 +8,7 @@ import pytest
 from partctl import (
     Graph,
     bits,
+    blocks,
     cmc,
     connected_cut_bound,
     count_partitions,
@@ -23,12 +24,14 @@ from partctl import (
     random_tree,
     spanning_tree,
     spanning_tree_packing,
+    st_numbering,
     validate_edge_partition,
     validate_vertex_partition,
     vertex_partition_profile,
 )
 from partctl.bounds import _leaf_peel
-from partctl.errors import PackingInfeasibleError
+from partctl.errors import PackingInfeasibleError, PartctlError
+from partctl.exact import prescribed_partition
 from partctl.splits import profile_of
 
 
@@ -85,12 +88,12 @@ def test_dense_core_guarantee_random():
 
 
 def test_long_path_cycle_and_complete():
-    assert len(long_path(cycle(7))) == 7
-    assert len(long_path(complete(4))) == 4
+    assert len(long_path(cycle(7), mask_of(range(7)))) == 7
+    assert len(long_path(complete(4), mask_of(range(4)))) == 4
 
 
 def test_long_path_star():
-    p = long_path(star(4))
+    p = long_path(star(4), mask_of(range(5)))
     assert len(p) == 3 >= min_degree(star(4)) + 1
 
 
@@ -100,7 +103,7 @@ def test_long_path_lower_bound_random():
         n = rng.randint(2, 30)
         m = rng.randint(n - 1, n * (n - 1) // 2)
         G = random_connected_graph(n, m, seed=i)
-        p = long_path(G)
+        p = long_path(G, G.full_vertex_mask())
         assert len(p) >= min_degree(G) + 1
         assert len(set(p)) == len(p)
         for u, v in zip(p, p[1:]):
@@ -178,13 +181,13 @@ def nash_williams_feasible(G, k):
 
 def test_packing_k1_is_spanning_tree():
     G = cycle(5)
-    packing = spanning_tree_packing(G, 1)
+    packing = spanning_tree_packing(G, 1, G.full_vertex_mask())
     assert packing.trees[0].bit_count() == 4
     assert packing.leftover.bit_count() == 1
 
 
 def test_packing_k4():
-    packing = spanning_tree_packing(complete(4), 2)
+    packing = spanning_tree_packing(complete(4), 2, mask_of(range(4)))
     assert packing.leftover == 0
     assert all(t.bit_count() == 3 for t in packing.trees)
 
@@ -192,7 +195,7 @@ def test_packing_k4():
 def test_packing_cycle_infeasible():
     for n in (3, 5, 8):
         with pytest.raises(PackingInfeasibleError) as exc:
-            spanning_tree_packing(cycle(n), 2)
+            spanning_tree_packing(cycle(n), 2, mask_of(range(n)))
         assert len(exc.value.forests) == 2
 
 
@@ -205,7 +208,7 @@ def test_packing_matches_nash_williams():
         for k in (1, 2, 3):
             want = nash_williams_feasible(G, k)
             try:
-                packing = spanning_tree_packing(G, k)
+                packing = spanning_tree_packing(G, k, G.full_vertex_mask())
                 got = True
                 seen = 0
                 for t in packing.trees:
@@ -290,11 +293,11 @@ def test_packing_matches_bfs_reference():
         feasible = all(t.bit_count() == n - 1 for t in trees)
         outcomes[feasible] += 1
         if feasible:
-            packing = spanning_tree_packing(G, k)
+            packing = spanning_tree_packing(G, k, G.full_vertex_mask())
             assert (packing.trees, packing.leftover) == (trees, leftover), i
         else:
             with pytest.raises(PackingInfeasibleError) as exc:
-                spanning_tree_packing(G, k)
+                spanning_tree_packing(G, k, G.full_vertex_mask())
             assert exc.value.forests == trees, i
     assert min(outcomes.values()) >= 50, outcomes
 
@@ -313,6 +316,18 @@ def test_packing_partitions_k4():
     parts, rep = packing_partitions(complete(4), 2)
     assert rep.leftover == 0
     assert {profile_of(p) for p in parts} == {(3, 3)}
+
+
+def test_packing_infeasible_forests_in_input_ids():
+    # K4 on {1..4} plus the pendant edge (0,1): the core is the K4, whose
+    # 6 edges cannot hold 3 spanning trees of 3 edges each
+    G = Graph(5, [(0, 1)] + [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+    with pytest.raises(PackingInfeasibleError) as exc:
+        packing_partitions(G, 3)
+    core_edges = G.edge_set_of_vertices(dense_core(G).vertices)
+    assert exc.value.forests
+    for f in exc.value.forests:
+        assert f & ~core_edges == 0, bin(f)
 
 
 def test_packing_partitions_counts():
@@ -438,6 +453,89 @@ def test_leaf_peel_matches_edge_scan_reference():
         n = rng.randint(1, 14)
         G = random_connected_graph(n, rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n)), seed=s)
         for r in range(1, n + 1):
-            parts = _leaf_peel(G, r)
+            parts = _leaf_peel(G, r, G.full_vertex_mask())
             assert parts == _leaf_peel_reference(G, r), (G.edges, r)
             assert validate_vertex_partition(G, parts, k=r)
+
+
+# ------------------------------------------ mask helpers against relabeling
+
+
+def _lift(mask, ids):
+    return mask_of(ids[i] for i in bits(mask))
+
+
+def _masked_graphs():
+    """100 seeded (G, connected vertex mask, induced subgraph, vmap, emap)."""
+    rng = random.Random(23)
+    out = []
+    for s in range(100):
+        n = rng.randint(4, 14)
+        G = random_connected_graph(n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)), seed=s)
+        mask = 1 << rng.randrange(n)
+        for _ in range(rng.randint(0, n - 1)):
+            grow = [u for x in bits(mask) for u in bits(G.neighbor_mask(x) & ~mask)]
+            mask |= 1 << rng.choice(grow)
+        out.append((G, mask, *G.induced(mask)))
+    return out
+
+
+MASKED = _masked_graphs()
+
+
+def test_long_path_and_blocks_on_mask_match_relabeled():
+    for G, mask, sub, vmap, _ in MASKED:
+        full = sub.full_vertex_mask()
+        assert long_path(G, mask) == [vmap[v] for v in long_path(sub, full)]
+        assert blocks(G, mask) == [_lift(b, vmap) for b in blocks(sub, full)]
+
+
+def test_st_numbering_on_block_matches_relabeled():
+    done = 0
+    for G, mask, *_ in MASKED:
+        for b in blocks(G, mask):
+            if b.bit_count() < 3:
+                continue
+            sub, vmap, _ = G.induced(b)
+            want = [vmap[v] for v in st_numbering(sub, 0, sub.n - 1, sub.full_vertex_mask())]
+            assert st_numbering(G, vmap[0], vmap[-1], b) == want
+            done += 1
+    assert done >= 30, done
+
+
+def test_packing_on_mask_matches_relabeled():
+    outcomes = {True: 0, False: 0}
+    for G, mask, sub, _, emap in MASKED:
+        for k in (1, 2, 3):
+            try:
+                want = spanning_tree_packing(sub, k, sub.full_vertex_mask())
+            except PartctlError as exc:
+                outcomes[False] += isinstance(exc, PackingInfeasibleError)
+                with pytest.raises(type(exc)) as got:
+                    spanning_tree_packing(G, k, mask)
+                assert str(got.value) == str(exc)
+                forests = getattr(exc, "forests", [])
+                assert getattr(got.value, "forests", []) == [_lift(f, emap) for f in forests]
+                continue
+            outcomes[True] += 1
+            got = spanning_tree_packing(G, k, mask)
+            assert got.vertices == mask
+            assert got.trees == [_lift(t, emap) for t in want.trees]
+            assert got.leftover == _lift(want.leftover, emap)
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_prescribed_partition_on_mask_matches_relabeled():
+    found = {True: 0, False: 0}
+    for G, mask, sub, vmap, _ in MASKED:
+        size = mask.bit_count()
+        for k in (2, 3, 4):
+            if size < k:
+                continue
+            # near-equal sizes, which sparse masks often cannot meet
+            sizes = [size // k + (i < size % k) for i in range(k)]
+            want = prescribed_partition(sub, sizes, sub.full_vertex_mask())
+            got = prescribed_partition(G, sizes, mask)
+            found[want is not None] += 1
+            assert got == (None if want is None else [_lift(p, vmap) for p in want])
+    assert min(found.values()) >= 10, found

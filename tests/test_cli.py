@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from partctl import make_nonmonotone_example
+from partctl import make_binary_clique_graph, make_nonmonotone_example
 from partctl.cli import main
 from partctl.graph import write_graph
 
@@ -181,6 +181,24 @@ def test_exact_k3_witnesses_frozen(tmp_path, capsys):
                        "--input", str(g))
     assert code == 0
     assert out == (GOLDEN / "nonmonotone_P_k3.json").read_text()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("pathcut", ("--method", "pathcut")),
+    ("packing_k2", ("--method", "packing", "--k", "2")),
+    ("cmc_r2", ("--method", "cmc", "--r", "2")),
+    ("cmc_r3", ("--method", "cmc", "--r", "3")),
+    ("pi_k3", ("--method", "pi", "--k", "3")),
+])
+def test_bounds_reports_frozen(tmp_path, capsys, name, argv):
+    # the dense core of binary_clique(1,2) is 7 of its 15 vertices, so each
+    # pipeline works on a proper vertex mask of the input graph
+    g = tmp_path / "binary_clique.txt"
+    with open(g, "w") as fh:
+        write_graph(make_binary_clique_graph(1, 2), fh)
+    code, out, _ = run(capsys, "bounds", *argv, "--input", str(g))
+    assert code == 0
+    assert out == (GOLDEN / f"binary_clique_1_2_bounds_{name}.json").read_text()
 
 
 @pytest.mark.parametrize("argv", [

@@ -146,7 +146,7 @@ def test_rooted_tree_parent_map():
 
 def test_st_numbering_c4():
     c4 = cycle(4)
-    order = st_numbering(c4, 0, 1)
+    order = st_numbering(c4, 0, 1, c4.full_vertex_mask())
     assert order == [0, 3, 2, 1]
     for i in range(1, 4):
         assert is_connected_vertex_set(c4, mask_of(order[:i]))
@@ -159,14 +159,14 @@ def test_st_numbering_k4_all_pairs():
         for t in range(4):
             if s == t:
                 continue
-            order = st_numbering(k4, s, t)
+            order = st_numbering(k4, s, t, k4.full_vertex_mask())
             assert order[0] == s and order[-1] == t
             assert sorted(order) == [0, 1, 2, 3]
 
 
 def test_st_numbering_rejects_non_biconnected():
     with pytest.raises(NotBiconnectedError):
-        st_numbering(path(3), 0, 2)
+        st_numbering(path(3), 0, 2, mask_of(range(3)))
 
 
 def test_st_numbering_random_biconnected():
@@ -183,7 +183,7 @@ def test_st_numbering_random_biconnected():
         if not is_biconnected(G):
             continue
         found += 1
-        order = st_numbering(G, 0, n - 1)
+        order = st_numbering(G, 0, n - 1, G.full_vertex_mask())
         for i in range(1, n):
             assert is_connected_vertex_set(G, mask_of(order[:i]))
             assert is_connected_vertex_set(G, mask_of(order[i:]))
@@ -191,8 +191,8 @@ def test_st_numbering_random_biconnected():
 
 def test_min_degree_and_blocks():
     assert min_degree(cycle(5)) == 2
-    assert blocks(path(3)) == [mask_of([0, 1]), mask_of([1, 2])]
-    assert blocks(complete(4)) == [mask_of([0, 1, 2, 3])]
+    assert blocks(path(3), mask_of(range(3))) == [mask_of([0, 1]), mask_of([1, 2])]
+    assert blocks(complete(4), mask_of(range(4))) == [mask_of([0, 1, 2, 3])]
     assert is_biconnected(Graph(2, [(0, 1)]))
     assert not is_biconnected(path(3))
 
