@@ -23,7 +23,6 @@ SMALL_T = 4096  # t_value reads a table up to here, closed forms beyond
 @dataclass
 class TTable:
     values: list  # values[n] = t(n), index 0 unused
-    argmin: list  # a minimizing d per n (0 for the base cases)
 
     @property
     def capacity(self):
@@ -60,22 +59,19 @@ def build_t_table(capacity=DEFAULT_CAPACITY):
             tab = _cache[cap]
             if cap == capacity:
                 return tab
-            return TTable(tab.values[: capacity + 1], tab.argmin[: capacity + 1])
+            return TTable(tab.values[: capacity + 1])
     values = [0, 0, 1, 2]
-    argmin = [0, 0, 0, 0]
     for n in range(4, capacity + 1):
         # d=1 is 1 + t(n-1); d=2,3 use ceil((n-1)/d)
         best = 1 + values[n - 1]
-        bd = 1
         c2 = 2 + values[(n - 2) // 2 + 1]
         if c2 < best:
-            best, bd = c2, 2
+            best = c2
         c3 = 3 + values[(n - 2) // 3 + 1]
         if c3 < best:
-            best, bd = c3, 3
+            best = c3
         values.append(best)
-        argmin.append(bd)
-    tab = TTable(values, argmin)
+    tab = TTable(values)
     _cache[capacity] = tab
     return tab
 

@@ -3,15 +3,22 @@ the path-cut 2-partition family, spanning-tree packing and the k-partition
 family on top of it, the connected-cut witness, and the ordered
 vertex-partition family.
 
-Every pipeline re-verifies the guarantees it relies on (connectivity of each
-emitted part, core minimum degree, packing feasibility) instead of assuming
-them, and returns a machine-readable report next to its partitions.  The
-pipelines run in the input graph's own vertex and edge ids, on the dense
-core's vertex mask.
+Every pipeline checks the guarantees it relies on at runtime instead of
+assuming them, and returns a machine-readable report next to its partitions.
+The path cut and the cut bound validate each partition they emit in full.
+The packing and ordered families check a certificate once per call instead:
+the trees span the core and with the leftover partition its edges, the last
+tree reaches every outside edge, and the long path's consecutive vertices are
+adjacent.  Each of their partitions then gets only an O(k) check that its
+parts are nonempty, disjoint and cover G; the ordered family also checks the
+connectivity of each remainder.  A failed check raises
+ConstructionFailedError.  The pipelines run in the input graph's own vertex
+and edge ids, on the dense core's vertex mask.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -344,28 +351,42 @@ def spanning_tree_packing(G, k, mask):
         )
     leftover = edges & ~sum(trees)
     packing = TreePacking(G, mask, trees, leftover)
-    _check_packing(packing, k)
+    _check_packing(packing)
     return packing
 
 
-def _check_packing(packing, k):
+def _check_packing(packing):
+    """The trees are k edge-disjoint spanning trees of G[vertices], and they
+    and the leftover partition E(vertices)."""
     G = packing.graph
+    edges = G.edge_set_of_vertices(packing.vertices)
+    need = packing.vertices.bit_count() - 1
     seen = 0
     for t in packing.trees:
         if seen & t:
             raise ConstructionFailedError("trees not edge-disjoint")
         seen |= t
-        # acyclic + n-1 edges + touches every vertex => spanning tree
-        touched = 0
-        for eid in bits(t):
-            u, v = G.edges[eid]
-            touched |= (1 << u) | (1 << v)
-        if touched != packing.vertices:
+        # n-1 acyclic edges inside the vertex set => spanning tree
+        if t.bit_count() != need or t & ~edges:
             raise ConstructionFailedError("forest does not span")
         if not _acyclic(G, t):
             raise ConstructionFailedError("forest has a cycle")
     if seen & packing.leftover:
         raise ConstructionFailedError("leftover edges overlap the trees")
+    if seen | packing.leftover != edges:
+        raise ConstructionFailedError("trees and leftover do not cover the edges of the vertex set")
+
+
+def _check_cover(parts, full, what):
+    """The per-partition share of a certified family's check: nonempty,
+    pairwise disjoint parts whose union is ``full``."""
+    union = 0
+    for p in parts:
+        if not p or union & p:
+            raise ConstructionFailedError(f"{what} has an empty or overlapping part")
+        union |= p
+    if union != full:
+        raise ConstructionFailedError(f"{what} does not cover the graph")
 
 
 def _acyclic(G, emask):
@@ -398,7 +419,13 @@ class PackingReport:
 def packing_partitions(G, k):
     """Connected k-edge-partitions from a spanning-tree packing of the dense
     core: tree i plus a block of leftover edges, with everything outside the
-    core hanging off the last tree."""
+    core hanging off the last tree.
+
+    Certified once per call: each tree spans the core, the trees and the
+    leftover partition E(core) (both checked by ``spanning_tree_packing``),
+    and the last tree with the outside edges is connected.  Tree i plus any
+    block of E(core) is then connected, so each emitted partition needs only
+    the O(k) cover check."""
     if k < 2:
         raise TooSmallError("k must be >= 2")
     if G.n == 1:
@@ -407,28 +434,28 @@ def packing_partitions(G, k):
         raise DisconnectedError("packing pipeline needs a connected graph")
     core = dense_core(G)
     packing = spanning_tree_packing(G, k, core.vertices)  # may raise PackingInfeasibleError
-    leftover_ids = list(bits(packing.leftover))
-    outside = G.full_edge_mask() & ~G.edge_set_of_vertices(core.vertices)
+    prefix = [0]  # prefix[i]: the first i leftover edges by id
+    for ei in bits(packing.leftover):
+        prefix.append(prefix[-1] | 1 << ei)
+    full = G.full_edge_mask()
+    outside = full & ~G.edge_set_of_vertices(core.vertices)
+    if not is_connected_edge_set(G, packing.trees[k - 1] | outside):
+        raise ConstructionFailedError("outside edges are cut off from the last tree")
 
     out = []
-    for sizes in ascending_compositions(len(leftover_ids), k):
-        blocks_, at = [], 0
-        for a in sizes:
-            bm = 0
-            for ei in leftover_ids[at : at + a]:
-                bm |= 1 << ei
-            blocks_.append(bm)
+    for sizes in ascending_compositions(packing.leftover.bit_count(), k):
+        parts, at = [], 0
+        for tree, a in zip(packing.trees, sizes):
+            parts.append(tree | (prefix[at + a] ^ prefix[at]))
             at += a
-        parts = [packing.trees[i] | blocks_[i] for i in range(k)]
         parts[k - 1] |= outside
-        if not validate_edge_partition(G, parts, k=k):
-            raise ConstructionFailedError("packing partition failed validation")
+        _check_cover(parts, full, "packing partition")
         out.append(parts)
     report = PackingReport(
         core_size=core.size,
         delta_core=core.min_degree,
         packed_k=k,
-        leftover=len(leftover_ids),
+        leftover=packing.leftover.bit_count(),
         emitted=len(out),
     )
     return out, report
@@ -560,7 +587,14 @@ def ordered_vertex_partitions(G, k):
     """Connected k-vertex-partitions with pairwise distinct ordered size
     vectors: prefixes of k-1 subpaths of a long core path, remainder of the
     core as the last part (connectivity verified directly), outside
-    components attached to the first part they touch."""
+    components attached to the first part they touch.
+
+    Certified once per call: consecutive path vertices are adjacent, so every
+    subpath prefix is connected.  Each outside component is a component of
+    G - core joined to a part it touches, so each emitted partition needs only
+    the O(k) cover check.  When no tuple of prefixes leaves a connected
+    remainder, a core with at least k vertices still yields one partition:
+    the leaf peel of the core, validated in full."""
     if k < 2:
         raise TooSmallError("k must be >= 2")
     if not is_connected(G):
@@ -568,15 +602,35 @@ def ordered_vertex_partitions(G, k):
     core = dense_core(G)
     hmask = core.vertices
     path = long_path(G, hmask)
+    for u, v in zip(path, path[1:]):
+        if not (G.neighbor_mask(u) >> v) & 1:
+            raise ConstructionFailedError(f"long path skips from {u} to {v}")
 
     report = OrderedPartitionReport(
         core_size=core.size, delta_core=core.min_degree, path_len=len(path)
     )
-    if len(path) - 1 < k - 1:
-        return [], report
+    full = G.full_vertex_mask()
+    # components of G - core with the same core neighbours join the same part
+    outside = {}
+    for c in components(G, removed=hmask):
+        nb = 0
+        for v in bits(c):
+            nb |= G.neighbor_mask(v)
+        outside[nb & hmask] = outside.get(nb & hmask, 0) | c
+
+    def attach(parts):
+        for nb, c in outside.items():
+            for j, p in enumerate(parts):
+                if nb & p:
+                    parts[j] = p | c
+                    break
+            else:
+                raise ConstructionFailedError("outside component touches no part")
+        return parts
 
     # the last path vertex is reserved for the final part, so every prefix
-    # choice leaves it nonempty
+    # choice leaves it nonempty; a path of fewer than k vertices leaves a
+    # subpath empty, and no tuple is tried
     usable = path[:-1]
     base, extra = divmod(len(usable), k - 1)
     subpaths = []
@@ -587,53 +641,27 @@ def ordered_vertex_partitions(G, k):
         at += ln
     report.subpath_lens = [len(p) for p in subpaths]
 
-    outside = components(G, removed=hmask)
-    outside_nbr = []
-    for c in outside:
-        nb = 0
-        for v in bits(c):
-            nb |= G.neighbor_mask(v)
-        outside_nbr.append(nb)
-
+    prefixes = [[mask_of(sp[:a]) for a in range(1, len(sp) + 1)] for sp in subpaths]
     out = []
     seen_vecs = set()
-
-    def tuples(i, chosen):
-        if i == k - 1:
-            yield tuple(chosen)
-            return
-        for a in range(1, len(subpaths[i]) + 1):
-            yield from tuples(i + 1, chosen + [a])
-
-    for tup in tuples(0, []):
+    for xs in itertools.product(*prefixes):
         report.attempted += 1
-        xs = []
-        used = 0
-        for i, a in enumerate(tup):
-            xm = 0
-            for v in subpaths[i][:a]:
-                xm |= 1 << v
-            xs.append(xm)
-            used |= xm
-        xk = hmask & ~used
+        xk = hmask & ~sum(xs)
         if xk == 0 or not is_connected_vertex_set(G, xk):
             continue
-        parts = xs + [xk]
-        # G is connected and the parts cover the core, so every outside
-        # component touches one of them
-        for ci, c in enumerate(outside):
-            for j in range(k):
-                if outside_nbr[ci] & parts[j]:
-                    parts[j] |= c
-                    break
-        if not validate_vertex_partition(G, parts, k=k):
-            raise ConstructionFailedError("ordered partition failed validation")
+        parts = attach([*xs, xk])
+        _check_cover(parts, full, "ordered partition")
         vec = tuple(p.bit_count() for p in parts)
         if vec in seen_vecs:
             continue
         seen_vecs.add(vec)
         out.append(parts)
-        report.succeeded += 1
+    if not out and core.size >= k:
+        parts = attach(_leaf_peel(G, k, hmask))
+        if not validate_vertex_partition(G, parts, k=k):
+            raise ConstructionFailedError("leaf-peel partition failed validation")
+        out.append(parts)
+    report.succeeded = len(out)
     return out, report
 
 

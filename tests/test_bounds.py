@@ -29,8 +29,9 @@ from partctl import (
     validate_vertex_partition,
     vertex_partition_profile,
 )
+from partctl import bounds
 from partctl.bounds import _leaf_peel
-from partctl.errors import PackingInfeasibleError, PartctlError
+from partctl.errors import ConstructionFailedError, PackingInfeasibleError, PartctlError
 from partctl.exact import prescribed_partition
 from partctl.splits import profile_of
 
@@ -192,6 +193,14 @@ def test_packing_k4():
     assert all(t.bit_count() == 3 for t in packing.trees)
 
 
+def test_packing_one_vertex_mask_gives_empty_trees():
+    G = complete(4)
+    for k in (1, 2, 3):
+        packing = spanning_tree_packing(G, k, 1 << 2)
+        assert packing.trees == [0] * k
+        assert packing.leftover == 0
+
+
 def test_packing_cycle_infeasible():
     for n in (3, 5, 8):
         with pytest.raises(PackingInfeasibleError) as exc:
@@ -350,6 +359,78 @@ def test_packing_partitions_counts():
     assert done == 8
 
 
+def cored(n, n_core, m_core, seed):
+    """A dense random core on 0..n_core-1 plus a random tree periphery."""
+    rng = random.Random(seed)
+    core = random_connected_graph(n_core, m_core, seed=seed)
+    return Graph(n, list(core.edges) + [(rng.randrange(v), v) for v in range(n_core, n)])
+
+
+def test_certified_families_validate_in_full():
+    # the packing and ordered families check a certificate once per call and
+    # each partition only by masks; every partition must still pass the full
+    # validators
+    seen = {"packing": 0, "ordered": 0, "outside edges": 0, "outside comps": 0}
+    for s in range(12):
+        G = cored(24, 10, 30, s)
+        hmask = dense_core(G).vertices
+        seen["outside edges"] += G.full_edge_mask() != G.edge_set_of_vertices(hmask)
+        for k in (2, 3):
+            try:
+                parts_list, rep = packing_partitions(G, k)
+            except PackingInfeasibleError:
+                continue
+            assert len(parts_list) == count_partitions(rep.leftover, k, allow_zero=True)
+            for parts in parts_list:
+                assert validate_edge_partition(G, parts, k), (s, k)
+            seen["packing"] += 1
+        for k in (2, 3):
+            parts_list, rep = ordered_vertex_partitions(G, k)
+            assert parts_list and len(parts_list) == rep.succeeded
+            for parts in parts_list:
+                assert validate_vertex_partition(G, parts, k), (s, k)
+            seen["ordered"] += 1
+        seen["outside comps"] += len(bounds.components(G, removed=hmask)) > 1
+    assert min(seen.values()) >= 10, seen
+
+
+def k5_plus_edge():
+    """K5 and a disjoint edge (5, 6): the dense core is the K5."""
+    return Graph(7, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(5, 6)])
+
+
+def test_packing_certificate_rejects_leftover_outside_core(monkeypatch):
+    G = Graph(6, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(4, 5)])
+    pendant = 1 << G.edges.index((4, 5))
+
+    class LeakyPacking(bounds.TreePacking):
+        def __init__(self, graph, vertices, trees, leftover):
+            super().__init__(graph, vertices, trees, leftover | pendant)
+
+    monkeypatch.setattr(bounds, "TreePacking", LeakyPacking)
+    with pytest.raises(ConstructionFailedError, match="do not cover the edges"):
+        packing_partitions(G, 2)
+
+
+def test_packing_certificate_rejects_outside_edges_cut_off(monkeypatch):
+    monkeypatch.setattr(bounds, "is_connected", lambda G: True)
+    with pytest.raises(ConstructionFailedError, match="cut off from the last tree"):
+        packing_partitions(k5_plus_edge(), 2)
+
+
+def test_ordered_certificate_rejects_a_non_path(monkeypatch):
+    real = bounds.long_path
+    monkeypatch.setattr(bounds, "long_path", lambda G, mask: sorted(real(G, mask), key=lambda v: v % 2))
+    with pytest.raises(ConstructionFailedError, match="long path skips"):
+        ordered_vertex_partitions(cycle(8), 2)
+
+
+def test_ordered_certificate_rejects_unattached_outside_component(monkeypatch):
+    monkeypatch.setattr(bounds, "is_connected", lambda G: True)
+    with pytest.raises(ConstructionFailedError, match="touches no part"):
+        ordered_vertex_partitions(k5_plus_edge(), 3)
+
+
 # ------------------------------------------------------------- cut bounds
 
 
@@ -422,6 +503,20 @@ def test_ordered_pi_bound_random():
             assert len(set(vecs)) == len(vecs) == rep.succeeded
             lower = -(-rep.succeeded // math.factorial(k))
             assert lower <= vertex_partition_profile(G, k).value
+
+
+def test_ordered_falls_back_to_leaf_peel():
+    # random_connected_graph(12, 24, seed=762348696): the core is all of G,
+    # and 6 and 9 touch only 5, the first vertex of the second subpath, so
+    # every tuple of path prefixes cuts them off from the remainder
+    G = Graph(12, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (4, 7), (7, 8),
+                   (6, 9), (7, 10), (5, 11), (2, 4), (7, 11), (1, 8), (0, 5), (3, 7),
+                   (5, 8), (8, 10), (5, 9), (1, 4), (1, 7), (3, 10), (4, 11), (3, 5)])
+    parts, rep = ordered_vertex_partitions(G, 3)
+    assert rep.attempted == 16 and rep.subpath_lens == [4, 4]
+    assert rep.succeeded == 1
+    assert parts == [_leaf_peel(G, 3, G.full_vertex_mask())]
+    assert validate_vertex_partition(G, parts[0], 3)
 
 
 def _leaf_peel_reference(H, r):

@@ -189,6 +189,7 @@ def test_exact_k3_witnesses_frozen(tmp_path, capsys):
     ("cmc_r2", ("--method", "cmc", "--r", "2")),
     ("cmc_r3", ("--method", "cmc", "--r", "3")),
     ("pi_k3", ("--method", "pi", "--k", "3")),
+    ("packing_k3", ("--method", "packing", "--k", "3")),
 ])
 def test_bounds_reports_frozen(tmp_path, capsys, name, argv):
     # the dense core of binary_clique(1,2) is 7 of its 15 vertices, so each
