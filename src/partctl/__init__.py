@@ -60,7 +60,6 @@ from .splits import (
     recursive_k_partitions,
     tree_exact_P2,
     tree_lower_bound_partitions,
-    two_partitions_from_splits,
     validate_edge_partition,
 )
 

@@ -461,21 +461,27 @@ def packing_partitions(G, k):
     return out, report
 
 
-def _attach_outside(G, parts, assigned):
-    """Attach every component of G - assigned to a part it touches."""
-    comps = components(G, removed=assigned)
-    for c in comps:
-        nbr = 0
+def _outside_groups(G, assigned):
+    """The components of G - assigned, joined into one group per set of
+    neighbours in ``assigned``: a dict from that set to the group."""
+    groups = {}
+    for c in components(G, removed=assigned):
+        nb = 0
         for v in bits(c):
-            nbr |= G.neighbor_mask(v)
-        nbr &= assigned
-        if not nbr:
-            raise ConstructionFailedError("outside component touches no part")
-        anchor = (nbr & -nbr).bit_length() - 1
-        for i, p in enumerate(parts):
-            if (p >> anchor) & 1:
-                parts[i] |= c
+            nb |= G.neighbor_mask(v)
+        groups[nb & assigned] = groups.get(nb & assigned, 0) | c
+    return groups
+
+
+def _attach(groups, parts):
+    """Join each group of ``_outside_groups`` to the first part it touches."""
+    for nb, c in groups.items():
+        for j, p in enumerate(parts):
+            if nb & p:
+                parts[j] = p | c
                 break
+        else:
+            raise ConstructionFailedError("outside component touches no part")
     return parts
 
 
@@ -521,10 +527,8 @@ def connected_cut_bound(G, r=2):
         if parts is None:
             parts = _leaf_peel(G, r, H)
 
-    assigned = 0
-    for p in parts:
-        assigned |= p
-    parts = _attach_outside(G, parts, assigned)
+    # at r=2 the parts cover one block, not the whole core
+    parts = _attach(_outside_groups(G, sum(parts)), parts)
     if not validate_vertex_partition(G, parts, k=r):
         raise ConstructionFailedError("cut witness failed validation")
     return CutWitness(parts, cut_size(G, parts))
@@ -610,23 +614,7 @@ def ordered_vertex_partitions(G, k):
         core_size=core.size, delta_core=core.min_degree, path_len=len(path)
     )
     full = G.full_vertex_mask()
-    # components of G - core with the same core neighbours join the same part
-    outside = {}
-    for c in components(G, removed=hmask):
-        nb = 0
-        for v in bits(c):
-            nb |= G.neighbor_mask(v)
-        outside[nb & hmask] = outside.get(nb & hmask, 0) | c
-
-    def attach(parts):
-        for nb, c in outside.items():
-            for j, p in enumerate(parts):
-                if nb & p:
-                    parts[j] = p | c
-                    break
-            else:
-                raise ConstructionFailedError("outside component touches no part")
-        return parts
+    outside = _outside_groups(G, hmask)
 
     # the last path vertex is reserved for the final part, so every prefix
     # choice leaves it nonempty; a path of fewer than k vertices leaves a
@@ -649,7 +637,7 @@ def ordered_vertex_partitions(G, k):
         xk = hmask & ~sum(xs)
         if xk == 0 or not is_connected_vertex_set(G, xk):
             continue
-        parts = attach([*xs, xk])
+        parts = _attach(outside, [*xs, xk])
         _check_cover(parts, full, "ordered partition")
         vec = tuple(p.bit_count() for p in parts)
         if vec in seen_vecs:
@@ -657,7 +645,7 @@ def ordered_vertex_partitions(G, k):
         seen_vecs.add(vec)
         out.append(parts)
     if not out and core.size >= k:
-        parts = attach(_leaf_peel(G, k, hmask))
+        parts = _attach(outside, _leaf_peel(G, k, hmask))
         if not validate_vertex_partition(G, parts, k=k):
             raise ConstructionFailedError("leaf-peel partition failed validation")
         out.append(parts)

@@ -361,8 +361,7 @@ def verify_constr_upper(seed=0):
 def verify_erdos_lehner(seed=0):
     records = []
     for n, k in [(100, 2), (100, 3)]:
-        exact_pi = arith.count_partitions(n, k)
-        ratio = exact_pi * math.factorial(k) / math.comb(n - 1, k - 1)
+        ratio = arith.count_partitions(n, k) / arith.erdos_lehner_estimate(n, k)
         _check(
             records, "erdos-lehner-ratio", abs(ratio - 1.0) <= 0.1,
             lhs=round(ratio, 6), rhs=1.0, spec=f"n={n} k={k}",

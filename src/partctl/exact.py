@@ -74,6 +74,14 @@ the skip fires early.  The profile stays exact: every seed is a connected
 partition, so it adds only true keys.  Seeds change which partition
 witnesses a seeded key, so k >= 3 is not seeded and keeps its witnesses.
 
+A prescribed-size query, ``prescribed_partition``, is the same search over a
+vertex mask with one wanted key, the sorted sizes.  Its ``first_missing``
+returns the least size in lo..hi that the target still holds once the closed
+sizes are taken out of it, and None when they are not all in it, and its
+leaf stops the search at the first leaf with the target key.  That leaf is
+the key's first occurrence in enumeration order, for the reason above: the
+search is not seeded, and a dropped subtree holds no leaf with the key.
+
 ``cmc`` keeps its own copy of the search, as a branch-and-bound, and starts
 each part with the unreachable elements rejected too.  It carries
 the cut down the recursion instead of recounting it at each leaf:
@@ -188,9 +196,9 @@ def _count_components(adj, comp, forb, limit):
     return count, held
 
 
-def _connected_partitions(adj, size, k, leaf, first_missing=None):
-    """Call ``leaf(parts)`` once for every partition of the elements
-    0..size-1 into k >= 2 parts that are each connected along ``adj``.
+def _connected_partitions(adj, mask, k, leaf, first_missing=None):
+    """Call ``leaf(parts)`` once for every partition of the elements of the
+    bitmask ``mask`` into k >= 2 parts that are each connected along ``adj``.
 
     At a node growing part j, ``closed`` is the descending tuple of the sizes
     of parts 1..j-1.  When the node's children would end part j with between
@@ -237,7 +245,7 @@ def _connected_partitions(adj, size, k, leaf, first_missing=None):
         grow(rem, acc, profile_of(acc), rem.bit_count() - parts_left, parts_left,
              anchor, adj[a] & rem, rem & ~closure(adj, a, rem))
 
-    descend((1 << size) - 1, [])
+    descend(mask, [])
 
 
 def _profile(adj, size, k, seeds):
@@ -270,7 +278,7 @@ def _profile(adj, size, k, seeds):
             checked[closed, s] = -1
         return None
 
-    _connected_partitions(adj, size, k, result.record, first_missing)
+    _connected_partitions(adj, (1 << size) - 1, k, result.record, first_missing)
     return result
 
 
@@ -309,7 +317,7 @@ def iter_connected_vertex_partitions(G, r):
     """Every connected vertex partition into r >= 2 parts exactly once, in
     enumeration order and without pruning: the reference scan for ``cmc``."""
     out = []
-    _connected_partitions(G.neighbor_masks, G.n, r, out.append)
+    _connected_partitions(G.neighbor_masks, G.full_vertex_mask(), r, out.append)
     return out
 
 
@@ -407,59 +415,38 @@ def gyori_lovasz(G, sizes, max_vertices=16):
     return prescribed_partition(G, sizes, G.full_vertex_mask())
 
 
+class _Found(Exception):
+    """Ends a prescribed-size search at its first matching leaf."""
+
+
 def prescribed_partition(G, sizes, mask):
     """A partition of the vertex bitmask ``mask`` into connected parts of the
     given sizes (each >= 1, summing to its size), listed in the order of
-    ``sizes``, or None: an exhaustive search that cuts, part by part, a
-    connected set holding the lowest remaining vertex, trying the sizes in
-    ascending order."""
-    nbr = G.neighbor_masks
+    ``sizes``, or None.  The partition is the first with these sizes in the
+    order of ``iter_connected_vertex_partitions``: the profile search with
+    this one key wanted."""
+    k = len(sizes)
+    if k == 1:
+        return [mask] if is_connected_vertex_set(G, mask) else None
+    target = tuple(sorted(sizes, reverse=True))
 
-    def connected_sets_of_size(allowed, anchor_bit, s):
-        """Connected-in-G subsets of `allowed` containing the anchor with
-        exactly s vertices."""
-        found = []
-        v0 = anchor_bit.bit_length() - 1
+    def first_missing(closed, lo, hi):
+        # the sizes still wanted below a node whose closed parts are ``closed``
+        rest = sorted(sizes)
+        for c in closed:
+            if c not in rest:
+                return None
+            rest.remove(c)
+        return next((s for s in rest if lo <= s <= hi), None)
 
-        def grow(S, cand, forb):
-            if S.bit_count() == s:
-                found.append(S)
-                return
-            # every descendant of S stays inside this closure
-            if closure(nbr, v0, allowed & ~forb).bit_count() < s:
-                return
-            avail = cand & ~forb & allowed & ~S
-            f = forb
-            while avail:
-                b = avail & -avail
-                v = b.bit_length() - 1
-                grow(S | b, cand | nbr[v], f)
-                avail ^= b
-                f |= b
+    def leaf(parts):
+        if profile_of(parts) == target:
+            raise _Found(parts)
 
-        grow(anchor_bit, nbr[v0], 0)
-        return found
-
-    def search(rem, remaining_sizes):
-        if not remaining_sizes:
-            return []
-        anchor = rem & -rem
-        for s in sorted(set(remaining_sizes)):
-            rest = list(remaining_sizes)
-            rest.remove(s)
-            for S in connected_sets_of_size(rem, anchor, s):
-                sub = search(rem & ~S, rest)
-                if sub is not None:
-                    return [S] + sub
-        return None
-
-    parts = search(mask, sorted(sizes))
-    if parts is None:
-        return None
-    # reorder the found parts to match the requested size order
-    pool = list(parts)
-    ordered = []
-    for s in sizes:
-        i = next(i for i, p in enumerate(pool) if p.bit_count() == s)
-        ordered.append(pool.pop(i))
-    return ordered
+    try:
+        _connected_partitions(G.neighbor_masks, mask, k, leaf, first_missing)
+    except _Found as found:
+        pool = found.args[0]
+        return [pool.pop(next(i for i, p in enumerate(pool) if p.bit_count() == s))
+                for s in sizes]
+    return None

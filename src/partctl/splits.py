@@ -1,7 +1,7 @@
 """Nested split sequences of trees and the edge-partition families built from
-them: the 2-partition family over a spanning tree, the recursive k-partition
-family, the Case I/II tree construction, and a polynomial exact solver for
-2-edge-partition profiles of trees.
+them: the recursive k-partition family (at k=2, the 2-partition family over a
+BFS spanning tree), the Case I/II tree construction, and a polynomial exact
+solver for 2-edge-partition profiles of trees.
 """
 
 from __future__ import annotations
@@ -134,23 +134,6 @@ def validate_edge_partition(G, parts, k=None):
 def profile_of(parts):
     """Canonical (sorted descending) size tuple of a partition."""
     return tuple(sorted((p.bit_count() for p in parts), reverse=True))
-
-
-def two_partitions_from_splits(G, T):
-    """Connected 2-edge-partitions of G harvested from the split sequence of
-    a spanning tree T: part 2 is the edges inside B_i, part 1 everything else.
-    Degenerate items (an empty side) are filtered; |part 2| is strictly
-    increasing across the emitted list."""
-    if T.graph.n != G.n:
-        raise DisconnectedError("spanning tree does not match graph")
-    seq = nested_split_sequence(T)
-    full = G.full_edge_mask()
-    out = []
-    for e2 in induced_edge_sets(G, [B for _, B, _ in seq.items]):
-        e1 = full & ~e2
-        if e1 and e2:
-            out.append([e1, e2])
-    return out
 
 
 def _subtree_sizes(order, parent):

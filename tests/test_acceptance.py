@@ -120,8 +120,7 @@ def test_05_inequality_suite_100_graphs():
 
     # constructive pipelines beyond path-cut: packing and the recursive
     # split family stay inside the exact profiles as well
-    from partctl import recursive_k_partitions, spanning_tree
-    from partctl.splits import two_partitions_from_splits
+    from partctl import recursive_k_partitions
 
     rng = random.Random(77)
     packing_hits = 0
@@ -130,8 +129,7 @@ def test_05_inequality_suite_100_graphs():
         m = rng.randint(n - 1, n * (n - 1) // 2)
         G = random_connected_graph(n, m, seed=7000 + i)
         exact2 = edge_partition_profile(G, 2, max_edges=45).profile
-        emitted = {profile_of(p) for p in
-                   two_partitions_from_splits(G, spanning_tree(G, 0))}
+        emitted = {profile_of(p) for p in recursive_k_partitions(G, 2)}
         assert emitted <= exact2
         try:
             parts, _ = packing_partitions(G, 2)

@@ -27,7 +27,7 @@ from partctl import (
     validate_vertex_partition,
     vertex_partition_profile,
 )
-from partctl.exact import iter_connected_vertex_partitions
+from partctl.exact import iter_connected_vertex_partitions, prescribed_partition
 from partctl.graph import closure
 
 
@@ -166,6 +166,38 @@ def test_gyori_lovasz_matches_brute_force():
                 if parts is not None:
                     assert validate_vertex_partition(G, parts, k, sizes=sizes)
                     assert [p.bit_count() for p in parts] == list(sizes)
+
+
+def in_order(parts, sizes):
+    """``parts`` listed in the order of ``sizes``; equal sizes keep their order."""
+    pool = list(parts)
+    return [pool.pop([p.bit_count() for p in pool].index(s)) for s in sizes]
+
+
+def test_prescribed_partition_is_the_first_occurrence():
+    # a prescribed-size query is the profile search with one wanted key, so
+    # its witness is the first partition with that key in enumeration order
+    rng = random.Random(31)
+    found = {True: 0, False: 0}
+    for G in itertools.chain(graphs(9, 40, 12, 18), sparse_graphs(26, 40, 12)):
+        for k in (2, 3, 4):
+            if k > G.n:
+                continue
+            first = {}
+            for parts in iter_connected_vertex_partitions(G, k):
+                first.setdefault(key_of(parts), parts)
+            # near-equal sizes, which sparse graphs often cannot meet, and
+            # random compositions of n
+            tries = [[G.n // k + (i < G.n % k) for i in range(k)]]
+            for _ in range(5):
+                cuts = sorted(rng.sample(range(1, G.n), k - 1))
+                tries.append([b - a for a, b in zip([0, *cuts], [*cuts, G.n])])
+            for sizes in tries:
+                want = first.get(tuple(sorted(sizes, reverse=True)))
+                got = prescribed_partition(G, sizes, G.full_vertex_mask())
+                found[want is not None] += 1
+                assert got == (None if want is None else in_order(want, sizes)), (G.edges, sizes)
+    assert min(found.values()) >= 50, found
 
 
 def line_graph(G):

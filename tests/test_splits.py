@@ -21,7 +21,6 @@ from partctl import (
     t_value,
     tree_exact_P2,
     tree_lower_bound_partitions,
-    two_partitions_from_splits,
     validate_edge_partition,
 )
 from partctl.errors import ConstructionFailedError, TooSmallError
@@ -80,7 +79,7 @@ def test_split_sequence_invariants_random():
 
 def test_two_partitions_c4():
     G = cycle(4)
-    out = two_partitions_from_splits(G, spanning_tree(G, 0))
+    out = recursive_k_partitions(G, 2)
     assert len(out) >= 2
     exact = edge_partition_profile(G, 2).profile
     pairs = {profile_of(p) for p in out}
@@ -92,7 +91,7 @@ def test_two_partitions_c4():
 
 def test_two_partitions_e2_increasing():
     G = star(4)
-    out = two_partitions_from_splits(G, spanning_tree(G, 0))
+    out = recursive_k_partitions(G, 2)
     sizes = [p[1].bit_count() for p in out]
     assert sizes == sorted(set(sizes))
     for p in out:
@@ -101,7 +100,7 @@ def test_two_partitions_e2_increasing():
 
 def test_two_partitions_p4():
     G = path(4)
-    out = two_partitions_from_splits(G, spanning_tree(G, 0))
+    out = recursive_k_partitions(G, 2)
     assert len(out) >= t_value(4) + 1 - 2
     assert {profile_of(p) for p in out} <= {(2, 1)}
 
