@@ -50,7 +50,6 @@ from .graph import (
     mask_of,
     min_degree,
     read_graph,
-    spanning_tree,
     st_numbering,
     write_graph,
 )

@@ -76,19 +76,19 @@ def build_t_table(capacity=DEFAULT_CAPACITY):
     return tab
 
 
-def t_value(n, capacity=None):
+def t_value(n):
     """Exact t(n).
 
-    With ``capacity`` given, or for n <= SMALL_T, it is read from the memoized
-    recurrence table.  Beyond that it is the h whose closed-form preimage
-    interval holds n: the intervals for h >= 8 tile [24, inf) in order, so a
-    binary search over 8 <= h <= 3 * n.bit_length() finds it in O(log log n)
-    closed-form evaluations of O(log n)-digit integers, with no table.
+    For n <= SMALL_T it is read from the memoized recurrence table.  Beyond
+    that it is the h whose closed-form preimage interval holds n: the
+    intervals for h >= 8 tile [24, inf) in order, so a binary search over
+    8 <= h <= 3 * n.bit_length() finds it in O(log log n) closed-form
+    evaluations of O(log n)-digit integers, with no table.
     """
     if n < 1:
         raise OutOfRangeError(f"n={n} must be positive")
-    if capacity or n <= SMALL_T:
-        return build_t_table(capacity or SMALL_T).t(n)
+    if n <= SMALL_T:
+        return build_t_table(SMALL_T).t(n)
     # the interval of h = 3b, b = n.bit_length(), ends above 3^b > 2^b > n
     lo, hi = 8, 3 * n.bit_length()
     while lo < hi:

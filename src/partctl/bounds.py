@@ -41,7 +41,6 @@ from .graph import (
     is_connected_edge_set,
     is_connected_vertex_set,
     mask_of,
-    min_degree,
     st_numbering,
 )
 from .splits import profile_of, validate_edge_partition
@@ -77,7 +76,7 @@ def dense_core(G):
             if (alive >> v) & 1 and deg[v] * n < m:
                 alive &= ~(1 << v)
                 trace.append(v)
-                for u in bits(G.neighbor_mask(v) & alive):
+                for u in bits(G.neighbor_masks[v] & alive):
                     deg[u] -= 1
                 changed = True
     if not alive:
@@ -86,7 +85,7 @@ def dense_core(G):
     comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
     core = comps[0]
     dmin = min(
-        (G.neighbor_mask(v) & core).bit_count() for v in bits(core)
+        (G.neighbor_masks[v] & core).bit_count() for v in bits(core)
     )
     return CoreSubgraph(G, core, dmin, trace)
 
@@ -102,14 +101,14 @@ def long_path(G, mask):
     onpath = 1 << start
     while True:
         tail = path[-1]
-        cand = G.neighbor_mask(tail) & mask & ~onpath
+        cand = G.neighbor_masks[tail] & mask & ~onpath
         if cand:
             v = (cand & -cand).bit_length() - 1
             path.append(v)
             onpath |= 1 << v
             continue
         head = path[0]
-        cand = G.neighbor_mask(head) & mask & ~onpath
+        cand = G.neighbor_masks[head] & mask & ~onpath
         if cand:
             v = (cand & -cand).bit_length() - 1
             path.appendleft(v)
@@ -468,7 +467,7 @@ def _outside_groups(G, assigned):
     for c in components(G, removed=assigned):
         nb = 0
         for v in bits(c):
-            nb |= G.neighbor_mask(v)
+            nb |= G.neighbor_masks[v]
         groups[nb & assigned] = groups.get(nb & assigned, 0) | c
     return groups
 
@@ -546,7 +545,7 @@ def _greedy_regions(G, sizes, mask):
         frontier = deque([seed])
         while S.bit_count() < s and frontier:
             x = frontier.popleft()
-            for y in bits(G.neighbor_mask(x) & remaining & ~S):
+            for y in bits(G.neighbor_masks[x] & remaining & ~S):
                 if S.bit_count() >= s:
                     break
                 S |= 1 << y
@@ -607,7 +606,7 @@ def ordered_vertex_partitions(G, k):
     hmask = core.vertices
     path = long_path(G, hmask)
     for u, v in zip(path, path[1:]):
-        if not (G.neighbor_mask(u) >> v) & 1:
+        if not (G.neighbor_masks[u] >> v) & 1:
             raise ConstructionFailedError(f"long path skips from {u} to {v}")
 
     report = OrderedPartitionReport(
@@ -652,20 +651,3 @@ def ordered_vertex_partitions(G, k):
     report.succeeded = len(out)
     return out, report
 
-
-__all__ = [
-    "CoreSubgraph",
-    "CutWitness",
-    "OrderedPartitionReport",
-    "PackingReport",
-    "PathCutReport",
-    "TreePacking",
-    "connected_cut_bound",
-    "dense_core",
-    "long_path",
-    "min_degree",
-    "ordered_vertex_partitions",
-    "packing_partitions",
-    "path_cut_partitions",
-    "spanning_tree_packing",
-]

@@ -205,7 +205,7 @@ def cmd_splits(args):
 
 def cmd_tree_p2(args):
     G = _load_graph(args.input)
-    profile = splits.tree_exact_P2(G)
+    profile = splits.tree_exact_P2(RootedTree(G, 0))
     print("larger,smaller")
     for a, b in sorted(profile, reverse=True):
         print(f"{a},{b}")

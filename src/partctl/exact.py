@@ -401,10 +401,7 @@ def gyori_lovasz(G, sizes, max_vertices=16):
     sizes = list(sizes)
     if sum(sizes) != G.n or any(s < 1 for s in sizes):
         raise SizeMismatchError(f"sizes {sizes} do not sum to n={G.n}")
-    k = len(sizes)
-    if k == 1:
-        return [G.full_vertex_mask()] if is_connected(G) else None
-    if k == 2 and is_biconnected(G):
+    if len(sizes) == 2 and is_biconnected(G):
         order = st_numbering(G, 0, G.n - 1, G.full_vertex_mask())
         a = 0
         for v in order[: sizes[0]]:

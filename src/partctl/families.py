@@ -17,6 +17,8 @@ def make_complete_ternary(height):
     if height < 0:
         raise OutOfRangeError("height must be >= 0")
     n = (3 ** (height + 1) - 1) // 2
+    if n > 10**6:
+        raise OutOfRangeError(f"n={n} exceeds budget {10**6}")
     edges = []
     for v in range(1, n):
         edges.append(((v - 1) // 3, v))
@@ -97,7 +99,7 @@ def random_tree(n, seed=0):
 
 def random_connected_graph(n, m, seed=0):
     """Random parent-array tree plus m-(n-1) distinct random non-tree edges."""
-    if not n - 1 <= m <= n * (n - 1) // 2:
+    if n < 1 or not n - 1 <= m <= n * (n - 1) // 2:
         raise InfeasibleDensityError(f"m={m} infeasible for n={n}")
     rng = random.Random(seed)
     edges = [(rng.randrange(i), i) for i in range(1, n)]

@@ -1,6 +1,7 @@
 """Graph substrate: immutable simple graphs, bitset vertex/edge sets, and the
-connectivity machinery (bitmask closure, components, spanning trees, blocks,
-st-numbering) the rest of the package is built on.
+connectivity machinery (bitmask closure, components, breadth-first trees, and
+one lowpoint DFS behind blocks and st-numbering) the rest of the package is
+built on.
 
 Vertex sets and edge sets are plain Python ints used as bitmasks; bit i stands
 for vertex/edge id i.  All tie-breaking is by ascending id so every derived
@@ -8,6 +9,8 @@ object is reproducible.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import (
     DisconnectedError,
@@ -92,12 +95,6 @@ class Graph:
 
     def degree(self, v):
         return len(self.adj[v])
-
-    def neighbor_mask(self, v):
-        return self.neighbor_masks[v]
-
-    def neighbors(self, v):
-        return list(bits(self.neighbor_masks[v]))
 
     def full_vertex_mask(self):
         return (1 << self.n) - 1
@@ -284,75 +281,74 @@ def is_connected(G):
     return G.n > 0 and closure(G.neighbor_masks, 0, full) == full
 
 
-def spanning_tree(G, root=0):
-    """Deterministic BFS spanning tree (neighbors visited by ascending id)."""
-    if G.n == 0:
-        raise DisconnectedError("graph has no vertices")
-    order, parent, _ = bfs_tree(G.neighbor_masks, root, G.full_vertex_mask())
-    if len(order) != G.n:
-        raise DisconnectedError("graph is disconnected")
-    return RootedTree(Graph(G.n, [(parent[u], u) for u in order[1:]]), root)
-
-
 def min_degree(G):
     return min(len(a) for a in G.adj) if G.n else 0
 
 
+def _lowpoint_dfs(G, mask, root, first=None):
+    """Depth-first walk of the vertices of ``mask`` reachable from ``root``,
+    neighbors by ascending id, with ``first`` taken as the root's first child
+    even when it is not adjacent to the root.
+
+    Returns (preorder, pre, parent, low): the visit order, each vertex's
+    preorder number and parent (-1 for the root and for vertices not
+    reached), and low[v], the least preorder number that v's subtree reaches
+    by one non-tree edge (pre[v] when none reaches an earlier vertex).
+    """
+    nbr = G.neighbor_masks
+    pre = [-1] * G.n
+    parent = [-1] * G.n
+    low = [0] * G.n
+    pre[root] = 0
+    preorder = [root]
+    rest = nbr[root] & mask
+    if first is None:
+        kids = bits(rest)
+    else:
+        kids = itertools.chain((first,), bits(rest & ~(1 << first)))
+    stack = [(root, kids)]
+    while stack:
+        v, it = stack[-1]
+        for u in it:
+            if pre[u] == -1:
+                pre[u] = low[u] = len(preorder)
+                parent[u] = v
+                preorder.append(u)
+                stack.append((u, bits(nbr[u] & mask)))
+                break
+            if u != parent[v] and pre[u] < low[v]:
+                low[v] = pre[u]
+        else:
+            stack.pop()
+            p = parent[v]
+            if p >= 0 and low[v] < low[p]:
+                low[p] = low[v]
+    return preorder, pre, parent, low
+
+
 def blocks(G, mask):
     """2-connected blocks of the subgraph induced by vertex bitmask ``mask``,
-    as vertex bitmasks, via lowpoint DFS.
+    as vertex bitmasks, from one lowpoint DFS per component: a tree edge
+    (p, v) opens a new block when no edge from v's subtree climbs above p,
+    and otherwise lies in the block of p's own tree edge.
 
     Bridges yield 2-vertex blocks.  Isolated vertices yield no block.  Output
     sorted by (smallest vertex, mask) for determinism.
     """
-    disc = [-1] * G.n
-    low = [0] * G.n
     out = []
-    counter = 0
-
-    def neighbors(v):
-        return bits(G.neighbor_masks[v] & mask)
-
-    for start in bits(mask):
-        if disc[start] != -1 or not G.neighbor_masks[start] & mask:
-            continue
-        stack = [(start, -1, neighbors(start))]
-        disc[start] = low[start] = counter
-        counter += 1
-        estack = []  # vertex-pair stack for block extraction
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u == parent:
-                    # skip one occurrence of the tree edge only; simple
-                    # graphs have no parallel edges so skipping all is fine
-                    continue
-                if disc[u] == -1:
-                    estack.append((v, u))
-                    disc[u] = low[u] = counter
-                    counter += 1
-                    stack.append((u, v, neighbors(u)))
-                    advanced = True
-                    break
-                elif disc[u] < disc[v]:
-                    estack.append((v, u))
-                    low[v] = min(low[v], disc[u])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    # pv is an articulation point (or root): pop a block
-                    bm = 0
-                    while estack:
-                        a, b = estack.pop()
-                        bm |= (1 << a) | (1 << b)
-                        if (a, b) == (pv, v):
-                            break
-                    out.append(bm)
+    left = mask
+    while left:
+        preorder, pre, parent, low = _lowpoint_dfs(G, mask, (left & -left).bit_length() - 1)
+        left &= ~mask_of(preorder)
+        block = {}  # vertex -> index in out of the block of its tree edge
+        for v in preorder[1:]:
+            p = parent[v]
+            if low[v] >= pre[p]:
+                block[v] = len(out)
+                out.append(1 << p | 1 << v)
+            else:
+                block[v] = block[p]
+                out[block[v]] |= 1 << v
     out.sort(key=lambda bm: ((bm & -bm).bit_length(), bm))
     return out
 
@@ -366,10 +362,11 @@ def st_numbering(G, s, t, mask):
     """Ordering of the vertex bitmask ``mask``, starting at s and ending at t,
     in which every prefix and every suffix induces a connected subgraph.
 
-    Classic lowpoint construction on a DFS from s that visits t first (the
-    st-edge is treated as virtual if absent, which is sound because the
-    prefix/suffix property never uses it).  Requires the subgraph induced by
-    ``mask`` to be 2-connected, with s and t two of its vertices.
+    Classic lowpoint construction (Even–Tarjan) on the lowpoint DFS from s
+    that visits t first (the st-edge is treated as virtual if absent, which
+    is sound because the prefix/suffix property never uses it).  Requires the
+    subgraph induced by ``mask`` to be 2-connected, with s and t two of its
+    vertices.
     """
     if s == t or not (mask >> s) & (mask >> t) & 1:
         raise NotBiconnectedError("s and t must be two distinct vertices of the mask")
@@ -377,56 +374,15 @@ def st_numbering(G, s, t, mask):
         raise NotBiconnectedError("graph is not 2-connected")
     if mask.bit_count() == 2:
         return [s, t]
-
-    pre = [-1] * G.n
-    parent = [-1] * G.n
-    lowv = list(range(G.n))  # vertex of smallest preorder reachable
-    preorder = []
-
-    def neighbors(v):
-        return list(bits(G.neighbor_masks[v] & mask))
-
-    def dfs_children(v):
-        nbrs = neighbors(v)
-        if v == s:
-            # force t as the first child (virtual st edge if needed)
-            nbrs = [t] + [u for u in nbrs if u != t]
-        return nbrs
-
-    pre[s] = 0
-    preorder.append(s)
-    stack = [(s, iter(dfs_children(s)))]
-    counter = 1
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for u in it:
-            if pre[u] == -1:
-                pre[u] = counter
-                counter += 1
-                parent[u] = v
-                preorder.append(u)
-                stack.append((u, iter(dfs_children(u))))
-                advanced = True
-                break
-            elif u != parent[v] and pre[u] < pre[lowv[v]]:
-                lowv[v] = u
-        if not advanced:
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                if pre[lowv[v]] < pre[lowv[pv]]:
-                    lowv[pv] = lowv[v]
+    preorder, _, parent, low = _lowpoint_dfs(G, mask, s, first=t)
 
     # doubly linked insertion list seeded with [s, t]
     nxt = {s: t, t: None}
     prv = {t: s, s: None}
     sign = {s: -1}
-    for v in preorder:
-        if v in (s, t):
-            continue
+    for v in preorder[2:]:  # s and t come first
         p = parent[v]
-        if sign[lowv[v]] == -1:
+        if sign[preorder[low[v]]] == -1:
             # insert v before its parent
             q = prv[p]
             nxt[q] = v
@@ -451,9 +407,10 @@ def st_numbering(G, s, t, mask):
     # safety net: verify the defining property
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
-        if v != s and all(pos[u] > pos[v] for u in neighbors(v)):
+        nbrs = G.neighbor_masks[v] & mask
+        if v != s and all(pos[u] > pos[v] for u in bits(nbrs)):
             raise NotBiconnectedError("st-numbering failed validation")
-        if v != t and all(pos[u] < pos[v] for u in neighbors(v)):
+        if v != t and all(pos[u] < pos[v] for u in bits(nbrs)):
             raise NotBiconnectedError("st-numbering failed validation")
     return order
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .arith import t_value
 from .errors import ConstructionFailedError, DisconnectedError, TooSmallError
 from .graph import (
-    Graph,
     RootedTree,
     bfs_tree,
     bits,
@@ -236,8 +235,6 @@ def tree_exact_P2(T):
     shared vertex, so the achievable sizes are exactly the proper subset sums
     of branch edge counts, collected per vertex by bitset convolution.
     """
-    if isinstance(T, Graph):
-        T = RootedTree(T, 0)
     G = T.graph
     n, m = G.n, G.m
     if m == 0:
@@ -266,8 +263,6 @@ def tree_exact_P2(T):
 def tree_lower_bound_partitions(T):
     """Distinct-size connected 2-edge-partitions of a tree via the equal-split
     (Case I) or oriented-sink (Case II) construction; count >= t(n) - 2."""
-    if isinstance(T, Graph):
-        T = RootedTree(T, 0)
     G = T.graph
     n = G.n
     if n < 2:

@@ -22,7 +22,6 @@ from partctl import (
     path_cut_partitions,
     random_connected_graph,
     random_tree,
-    spanning_tree,
     spanning_tree_packing,
     st_numbering,
     validate_edge_partition,
@@ -33,6 +32,7 @@ from partctl import bounds
 from partctl.bounds import _leaf_peel
 from partctl.errors import ConstructionFailedError, PackingInfeasibleError, PartctlError
 from partctl.exact import prescribed_partition
+from partctl.graph import bfs_tree
 from partctl.splits import profile_of
 
 
@@ -108,7 +108,7 @@ def test_long_path_lower_bound_random():
         assert len(p) >= min_degree(G) + 1
         assert len(set(p)) == len(p)
         for u, v in zip(p, p[1:]):
-            assert (G.neighbor_mask(u) >> v) & 1
+            assert (G.neighbor_masks[u] >> v) & 1
 
 
 # --------------------------------------------------------------- path cut
@@ -520,11 +520,12 @@ def test_ordered_falls_back_to_leaf_peel():
 
 
 def _leaf_peel_reference(H, r):
-    """The leaf peel over the spanning tree's edge list: tree degrees are
+    """The leaf peel over the BFS spanning tree's edge list: tree degrees are
     counted from the edges and lowered by a rescan of them after each peel."""
-    T = spanning_tree(H, 0)
+    order, parent, _ = bfs_tree(H.neighbor_masks, 0, H.full_vertex_mask())
+    edges = [(parent[u], u) for u in order[1:]]
     tdeg = [0] * H.n
-    for u, v in T.graph.edges:
+    for u, v in edges:
         tdeg[u] += 1
         tdeg[v] += 1
     alive = H.full_vertex_mask()
@@ -533,7 +534,7 @@ def _leaf_peel_reference(H, r):
         leaf = next(v for v in bits(alive) if tdeg[v] <= 1)
         parts.append(1 << leaf)
         alive &= ~(1 << leaf)
-        for u, v in T.graph.edges:
+        for u, v in edges:
             if u == leaf and (alive >> v) & 1:
                 tdeg[v] -= 1
             elif v == leaf and (alive >> u) & 1:
@@ -569,7 +570,7 @@ def _masked_graphs():
         G = random_connected_graph(n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)), seed=s)
         mask = 1 << rng.randrange(n)
         for _ in range(rng.randint(0, n - 1)):
-            grow = [u for x in bits(mask) for u in bits(G.neighbor_mask(x) & ~mask)]
+            grow = [u for x in bits(mask) for u in bits(G.neighbor_masks[x] & ~mask)]
             mask |= 1 << rng.choice(grow)
         out.append((G, mask, *G.induced(mask)))
     return out

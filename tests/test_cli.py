@@ -235,10 +235,16 @@ def test_part_count_below_one_is_usage_error(tmp_path, capsys, argv):
     ("4 4\n0 1\n1 2\n2 3\n0 3\n", ("bounds", "--method", "cmc", "--report", "{dir}")),
     ("4 4\n0 1\n1 2\n2 3\n0 3\n", ("exact", "--what", "P", "--out", "{dir}")),
     (None, ("verify", "--suite", "erdos-lehner", "--out", "{dir}")),
+    ("4 4\n0 1\n1 2\n2 3\n0 3\n", ("tree-p2",)),
+    (None, ("family", "--name", "random_connected", "--n", "0", "--m", "0")),
+    (None, ("family", "--name", "random_connected", "--n", "-3", "--m", "-4")),
+    (None, ("family", "--name", "ternary", "--height", "25")),
 ], ids=["splits-root-out-of-range", "negative-header", "cmc-fewer-vertices-than-r",
         "one-vertex-exact-cmc", "one-vertex-cut-bound", "one-vertex-cut-bound-r3",
         "one-vertex-packing", "one-vertex-packing-k3", "splits-out-is-directory",
-        "bounds-report-is-directory", "exact-out-is-directory", "verify-out-is-directory"])
+        "bounds-report-is-directory", "exact-out-is-directory", "verify-out-is-directory",
+        "tree-p2-not-a-tree", "family-random-connected-n0", "family-random-connected-negative-n",
+        "family-ternary-too-tall"])
 def test_bad_input_is_input_error(tmp_path, capsys, text, argv):
     # "{dir}" names a directory, where an output file cannot be written
     argv = [a.replace("{dir}", str(tmp_path)) for a in argv]

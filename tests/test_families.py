@@ -108,3 +108,18 @@ def test_random_connected_graph():
         random_connected_graph(5, 3, seed=0)
     with pytest.raises(InfeasibleDensityError):
         random_connected_graph(4, 7, seed=0)
+
+
+def test_random_connected_graph_rejects_no_vertices():
+    # n - 1 <= m <= n(n-1)/2 alone lets these through
+    for n, m in ((0, 0), (0, -1), (-3, -4)):
+        with pytest.raises(InfeasibleDensityError):
+            random_connected_graph(n, m, seed=0)
+
+
+def test_complete_ternary_rejects_more_than_a_million_vertices():
+    # height 12 has 797,161 vertices and height 13 has 2,391,484
+    with pytest.raises(OutOfRangeError):
+        make_complete_ternary(13)
+    with pytest.raises(OutOfRangeError):
+        make_complete_ternary(25)

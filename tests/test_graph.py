@@ -16,7 +16,6 @@ from partctl import (
     mask_of,
     min_degree,
     read_graph,
-    spanning_tree,
     st_numbering,
     write_graph,
 )
@@ -27,7 +26,7 @@ from partctl.errors import (
     SelfLoopError,
     VertexOutOfRangeError,
 )
-from partctl.graph import bfs_tree, induced_edge_sets
+from partctl.graph import _lowpoint_dfs, bfs_tree, induced_edge_sets
 
 
 def path(n):
@@ -99,18 +98,6 @@ def test_components():
     assert components(s3, removed=mask_of([0])) == [2, 4, 8]
 
 
-def test_spanning_tree_bfs():
-    c4 = cycle(4)
-    T = spanning_tree(c4, 0)
-    assert set(T.graph.edges) == {(0, 1), (0, 3), (1, 2)}
-    # a tree maps to itself
-    p5 = path(5)
-    T2 = spanning_tree(p5, 2)
-    assert set(T2.graph.edges) == set(p5.edges)
-    with pytest.raises(DisconnectedError):
-        spanning_tree(Graph(4, [(0, 1), (2, 3)]))
-
-
 def test_bfs_tree_on_a_mask_matches_queue_bfs():
     rng = random.Random(17)
     for _ in range(80):
@@ -125,7 +112,7 @@ def test_bfs_tree_on_a_mask_matches_queue_bfs():
         while queue:
             v = queue.pop(0)
             want.append(v)
-            for u in sorted(G.neighbors(v)):
+            for u in sorted(bits(G.neighbor_masks[v])):
                 if (mask >> u) & 1 and not (seen >> u) & 1:
                     seen |= 1 << u
                     want_parent[u] = v
@@ -195,6 +182,66 @@ def test_min_degree_and_blocks():
     assert blocks(complete(4), mask_of(range(4))) == [mask_of([0, 1, 2, 3])]
     assert is_biconnected(Graph(2, [(0, 1)]))
     assert not is_biconnected(path(3))
+
+
+def _blocks_reference(G, mask):
+    """Blocks with no DFS: the maximal vertex sets B of ``mask`` with |B| >= 2
+    such that G[B] is connected and stays connected after deleting any one
+    vertex."""
+    found = []
+    sub = mask
+    while sub:
+        if sub.bit_count() >= 2 and is_connected_vertex_set(G, sub) and all(
+                is_connected_vertex_set(G, sub & ~(1 << v)) for v in bits(sub)):
+            found.append(sub)
+        sub = (sub - 1) & mask
+    maximal = [B for B in found if not any(B != C and B & C == B for C in found)]
+    return sorted(maximal, key=lambda bm: ((bm & -bm).bit_length(), bm))
+
+
+def test_blocks_match_subset_reference():
+    rng = random.Random(29)
+    nonempty = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        p = rng.choice([0.2, 0.4, 0.7])
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        mask = rng.getrandbits(n) if rng.random() < 0.7 else G.full_vertex_mask()
+        want = _blocks_reference(G, mask)
+        assert blocks(G, mask) == want, (G.edges, mask)
+        nonempty += bool(want)
+    assert nonempty >= 150, nonempty
+
+
+def test_lowpoint_dfs_matches_definition():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35])
+        mask = rng.getrandbits(n) | 1
+        others = [v for v in bits(mask) if v]
+        first = rng.choice(others) if others and rng.random() < 0.5 else None
+        preorder, pre, parent, low = _lowpoint_dfs(G, mask, 0, first)
+        if first is not None:
+            assert preorder[1] == first and parent[first] == 0
+        tree = {(parent[v], v) for v in preorder[1:]}
+        for i, v in enumerate(preorder):
+            assert pre[v] == i
+            if i:
+                # a DFS: the parent is the latest visited vertex adjacent to v
+                # (or the root, for a forced first child)
+                earlier = [u for u in preorder[:i] if (G.neighbor_masks[v] >> u) & 1]
+                if v != first:
+                    assert parent[v] == max(earlier, key=pre.__getitem__)
+        for v in preorder:
+            sub = {v}
+            for u in preorder[pre[v] + 1:]:
+                if parent[u] in sub:
+                    sub.add(u)
+            reach = [pre[w] for x in sub for w in bits(G.neighbor_masks[x] & mask)
+                     if (x, w) not in tree and (w, x) not in tree]
+            assert low[v] == min([pre[v], *reach]), (G.edges, mask, v)
+        assert all(pre[v] == -1 for v in range(n) if v not in preorder)
 
 
 def test_graph_io_roundtrip():

@@ -17,13 +17,13 @@ from partctl import (
     random_connected_graph,
     random_tree,
     recursive_k_partitions,
-    spanning_tree,
     t_value,
     tree_exact_P2,
     tree_lower_bound_partitions,
     validate_edge_partition,
 )
 from partctl.errors import ConstructionFailedError, TooSmallError
+from partctl.graph import bfs_tree
 from partctl.splits import SplitSequence, _centroid_chunk, centroid, profile_of
 
 
@@ -140,13 +140,19 @@ def _edges_inside(G, S):
     return mask_of(ei for ei, (u, v) in enumerate(G.edges) if (S >> u) & 1 and (S >> v) & 1)
 
 
+def _bfs_spanning_tree(G):
+    """The BFS spanning tree of G rooted at 0, neighbors by ascending id."""
+    order, parent, _ = bfs_tree(G.neighbor_masks, 0, G.full_vertex_mask())
+    return RootedTree(Graph(G.n, [(parent[u], u) for u in order[1:]]), 0)
+
+
 def _reference_k_partitions(G, k):
     """recursive_k_partitions as a plain per-item loop: each B is rebuilt and
     remapped bit by bit, each E(B) found by a scan over all edges, and each
     inner part remapped on its own."""
     if G.m < k:
         raise TooSmallError(f"graph has {G.m} edges < k={k}")
-    T = spanning_tree(G, 0)
+    T = _bfs_spanning_tree(G)
     full = G.full_edge_mask()
     out = []
     if k == 2:
@@ -214,7 +220,7 @@ def _orientation_sink(T):
             sz[T.parent[v]] += sz[v]
     for v in range(n):
         if all(2 * (sz[u] if T.parent[u] == v else n - sz[v]) < n
-               for u in bits(G.neighbor_mask(v))):
+               for u in bits(G.neighbor_masks[v])):
             return v
     return -1
 
@@ -276,14 +282,14 @@ def test_recursive_rejects_small():
 
 def test_tree_exact_p2_path():
     for n in range(3, 11):
-        prof = tree_exact_P2(path(n))
+        prof = tree_exact_P2(RootedTree(path(n), 0))
         want = {(n - 1 - i, i) for i in range(1, (n - 1) // 2 + 1)}
         assert prof == want
 
 
 def test_tree_exact_p2_star():
     for q in range(2, 9):
-        prof = tree_exact_P2(star(q))
+        prof = tree_exact_P2(RootedTree(star(q), 0))
         assert len(prof) == q // 2
 
 
