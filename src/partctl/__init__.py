@@ -2,12 +2,10 @@
 constructive lower bounds for small graphs."""
 
 from .arith import (
-    build_interval_table,
     build_t_table,
     count_partitions,
-    empirical_lower_bound_constant,
     erdos_lehner_estimate,
-    t_preimage,
+    t_intervals,
     t_preimage_closed_form,
     t_value,
 )

@@ -12,56 +12,15 @@ re-validates it against full-range minimization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import OutOfRangeError
 
-DEFAULT_CAPACITY = 10**6
-SMALL_T = 4096  # t_value reads a table up to here, closed forms beyond
 
-
-@dataclass
-class TTable:
-    values: list  # values[n] = t(n), index 0 unused
-
-    @property
-    def capacity(self):
-        return len(self.values) - 1
-
-    def t(self, n):
-        if not 1 <= n <= self.capacity:
-            raise OutOfRangeError(f"n={n} outside table capacity {self.capacity}")
-        return self.values[n]
-
-
-@dataclass
-class IntervalTable:
-    intervals: list  # intervals[h] = (lo, hi), t(n)=h exactly for lo<=n<=hi
-
-    @property
-    def max_h(self):
-        return len(self.intervals) - 1
-
-    def preimage(self, h):
-        if not 0 <= h <= self.max_h:
-            raise OutOfRangeError(f"h={h} outside interval table range {self.max_h}")
-        return self.intervals[h]
-
-
-_cache = {}
-_interval_cache = {}
-
-
-def build_t_table(capacity=DEFAULT_CAPACITY):
-    """Memoized t-table up to the given capacity."""
-    for cap in _cache:
-        if cap >= capacity:
-            tab = _cache[cap]
-            if cap == capacity:
-                return tab
-            return TTable(tab.values[: capacity + 1])
-    values = [0, 0, 1, 2]
-    for n in range(4, capacity + 1):
+def build_t_table(capacity):
+    """The list [0, t(1), ..., t(capacity)] of capacity + 1 entries, from the
+    recurrence; index 0 is unused.  The d <= 3 minimum holds from n = 2 on."""
+    values = [0, 0][: max(capacity, 0) + 1]  # the unused index 0, then t(1)
+    for n in range(2, capacity + 1):
         # d=1 is 1 + t(n-1); d=2,3 use ceil((n-1)/d)
         best = 1 + values[n - 1]
         c2 = 2 + values[(n - 2) // 2 + 1]
@@ -71,24 +30,35 @@ def build_t_table(capacity=DEFAULT_CAPACITY):
         if c3 < best:
             best = c3
         values.append(best)
-    tab = TTable(values)
-    _cache[capacity] = tab
-    return tab
+    return values
+
+
+def t_intervals(values):
+    """The preimage runs of a table from ``build_t_table``: entry h is the
+    (lo, hi) with t(n) = h exactly for lo <= n <= hi.  The last run is
+    dropped, since the table's capacity may cut it short."""
+    intervals = []
+    lo = 1
+    for n in range(2, len(values)):
+        if values[n] != values[lo]:
+            intervals.append((lo, n - 1))
+            lo = n
+    return intervals
 
 
 def t_value(n):
-    """Exact t(n).
+    """Exact t(n), with no table.
 
-    For n <= SMALL_T it is read from the memoized recurrence table.  Beyond
-    that it is the h whose closed-form preimage interval holds n: the
-    intervals for h >= 8 tile [24, inf) in order, so a binary search over
-    8 <= h <= 3 * n.bit_length() finds it in O(log log n) closed-form
-    evaluations of O(log n)-digit integers, with no table.
+    Up to n = 23 it is read from a literal.  Beyond, it is the h whose
+    closed-form preimage interval holds n: the intervals for h >= 8 tile
+    [24, inf) in order, so a binary search over 8 <= h <= 3 * n.bit_length()
+    finds it in O(log log n) closed-form evaluations of O(log n)-digit
+    integers.
     """
     if n < 1:
         raise OutOfRangeError(f"n={n} must be positive")
-    if n <= SMALL_T:
-        return build_t_table(SMALL_T).t(n)
+    if n <= 23:
+        return (0, 1, 2, 3, 3, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7)[n - 1]
     # the interval of h = 3b, b = n.bit_length(), ends above 3^b > 2^b > n
     lo, hi = 8, 3 * n.bit_length()
     while lo < hi:
@@ -98,29 +68,6 @@ def t_value(n):
         else:
             hi = mid
     return lo
-
-
-def build_interval_table(capacity=DEFAULT_CAPACITY):
-    """Memoized preimage intervals t^{-1}(h) = [lo, hi] derived from the
-    t-table, one table per capacity.
-
-    The last interval is dropped if truncated by the table capacity.
-    """
-    itab = _interval_cache.get(capacity)
-    if itab is None:
-        tab = build_t_table(capacity)
-        intervals = []
-        lo = 1
-        for n in range(2, capacity + 1):
-            if tab.values[n] != tab.values[lo]:
-                intervals.append((lo, n - 1))
-                lo = n
-        itab = _interval_cache[capacity] = IntervalTable(intervals)
-    return itab
-
-
-def t_preimage(h, capacity=DEFAULT_CAPACITY):
-    return build_interval_table(capacity).preimage(h)
 
 
 def t_preimage_closed_form(h):
@@ -142,25 +89,11 @@ def t_preimage_closed_form(h):
     return lo, hi
 
 
-def empirical_lower_bound_constant(capacity=DEFAULT_CAPACITY):
-    """Largest gap max_n (3*log3(n) - t(n)) over the table.
-
-    The proposition guarantees t(n) >= 3*log3(n) - C for some absolute C but
-    never pins the constant; this reports the observed one.
-    """
-    tab = build_t_table(capacity)
-    log3 = math.log(3)
-    return max(3 * math.log(n) / log3 - tab.values[n] for n in range(1, capacity + 1))
-
-
-def count_partitions(n, k, allow_zero=False):
-    """Number of multisets of k positive (or, with allow_zero, nonnegative)
-    integers summing to n.  Exact big-integer DP."""
-    if k < 1:
-        return 0
-    if allow_zero:
-        return count_partitions(n + k, k, allow_zero=False)
-    if n < k:
+def count_partitions(n, k):
+    """Number of multisets of k positive integers summing to n (with
+    nonnegative parts: ``count_partitions(n + k, k)``).  Exact big-integer
+    DP."""
+    if k < 1 or n < k:
         return 0
     # p[j] = partitions of the current n into exactly j positive parts
     p = [[0] * (k + 1) for _ in range(n + 1)]
@@ -175,8 +108,7 @@ def count_partitions(n, k, allow_zero=False):
 
 def ascending_compositions(total, k):
     """Nondecreasing k-tuples of nonnegative ints summing to total: the
-    integer partitions that ``count_partitions(total, k, allow_zero=True)``
-    counts, each once."""
+    integer partitions that ``count_partitions(total + k, k)`` counts, each once."""
 
     def rec(rest, parts_left, minimum):
         if parts_left == 1:

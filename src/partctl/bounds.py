@@ -30,7 +30,13 @@ from .errors import (
     PackingInfeasibleError,
     TooSmallError,
 )
-from .exact import CutWitness, cut_size, prescribed_partition, validate_vertex_partition
+from .exact import (
+    PRESCRIBED_VERTEX_BUDGET,
+    CutWitness,
+    cut_size,
+    prescribed_partition,
+    validate_vertex_partition,
+)
 from .graph import (
     Graph,
     bfs_tree,
@@ -518,10 +524,11 @@ def connected_cut_bound(G, r=2):
         if s < 1:
             raise ConstructionFailedError(f"core smaller than r={r}")
         sizes = [s] * (r - 1) + [n_core - (r - 1) * s]
-        parts = None
-        if n_core <= 16:
+        # under the budget the search is exact, so greedy growth, whose parts
+        # have these sizes too, could find nothing it missed
+        if n_core <= PRESCRIBED_VERTEX_BUDGET:
             parts = prescribed_partition(G, sizes, H)
-        if parts is None:
+        else:
             parts = _greedy_regions(G, sizes, H)
         if parts is None:
             parts = _leaf_peel(G, r, H)

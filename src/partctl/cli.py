@@ -172,16 +172,15 @@ def cmd_family(args):
 
 
 def cmd_tseq(args):
-    tab = arith.build_t_table(args.max)
+    values = arith.build_t_table(args.max)
     if args.intervals:
-        itab = arith.build_interval_table(args.max)
         print("h,lo,hi")
-        for h, (lo, hi) in enumerate(itab.intervals):
+        for h, (lo, hi) in enumerate(arith.t_intervals(values)):
             print(f"{h},{lo},{hi}")
     else:
         print("n,t")
         for n in range(1, args.max + 1):
-            print(f"{n},{tab.values[n]}")
+            print(f"{n},{values[n]}")
     return 0
 
 
@@ -224,8 +223,7 @@ def _check(records, name, ok, lhs=None, rhs=None, spec=None):
 
 def verify_t_table(seed=0, capacity=10**6):
     records = []
-    tab = arith.build_t_table(capacity)
-    vals = tab.values
+    vals = arith.build_t_table(capacity)
     _check(
         records,
         "monotone",
@@ -247,21 +245,21 @@ def verify_t_table(seed=0, capacity=10**6):
         rhs=[11, 23],
         spec="t(n)=3+t(ceil((n-1)/3)) for n>=11 except n in {11,23}",
     )
-    itab = arith.build_interval_table(capacity)
+    intervals = arith.t_intervals(vals)
     ok = True
-    for h in range(8, itab.max_h + 1):
-        if itab.preimage(h) != arith.t_preimage_closed_form(h):
+    for h in range(8, len(intervals)):
+        if intervals[h] != arith.t_preimage_closed_form(h):
             ok = False
             _check(
                 records,
                 "closed-form",
                 False,
-                lhs=itab.preimage(h),
+                lhs=intervals[h],
                 rhs=arith.t_preimage_closed_form(h),
                 spec=f"h={h}",
             )
     if ok:
-        _check(records, "closed-form", True, spec=f"h=8..{itab.max_h}")
+        _check(records, "closed-form", True, spec=f"h=8..{len(intervals) - 1}")
     ell = 0
     while True:
         n = 10 * 3**ell

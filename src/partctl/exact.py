@@ -136,6 +136,7 @@ DEFAULT_EDGE_BUDGET = {2: 40, 3: 20, 4: 16}
 DEFAULT_VERTEX_BUDGET = {2: 24, 3: 18, 4: 14}
 FALLBACK_EDGE_BUDGET = 12
 FALLBACK_VERTEX_BUDGET = 12
+PRESCRIBED_VERTEX_BUDGET = 16  # prescribed-size searches run up to this n
 
 
 @dataclass
@@ -392,11 +393,12 @@ def validate_vertex_partition(G, parts, k=None, sizes=None):
     return union == G.full_vertex_mask()
 
 
-def gyori_lovasz(G, sizes, max_vertices=16):
+def gyori_lovasz(G, sizes):
     """A connected vertex partition with the given part sizes, or None.
 
     For k=2 on a 2-connected graph the st-numbering prefix construction
-    always succeeds; otherwise an exhaustive search runs (n <= max_vertices).
+    always succeeds; otherwise an exhaustive search runs
+    (n <= PRESCRIBED_VERTEX_BUDGET).
     """
     sizes = list(sizes)
     if sum(sizes) != G.n or any(s < 1 for s in sizes):
@@ -407,8 +409,8 @@ def gyori_lovasz(G, sizes, max_vertices=16):
         for v in order[: sizes[0]]:
             a |= 1 << v
         return [a, G.full_vertex_mask() & ~a]
-    if G.n > max_vertices:
-        raise TooLargeError(f"n={G.n} exceeds search budget {max_vertices}")
+    if G.n > PRESCRIBED_VERTEX_BUDGET:
+        raise TooLargeError(f"n={G.n} exceeds search budget {PRESCRIBED_VERTEX_BUDGET}")
     return prescribed_partition(G, sizes, G.full_vertex_mask())
 
 

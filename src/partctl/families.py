@@ -11,29 +11,34 @@ import random
 from .errors import InfeasibleDensityError, OutOfRangeError
 from .graph import Graph, RootedTree
 
+# a Graph on a breadth-first-labelled tree holds about n^2/8 bytes of masks
+# (60 MiB for random_tree(20000)), so the tree families stop at this n
+MAX_TREE_VERTICES = 2 * 10**4
+MAX_BINARY_CLIQUE_VERTICES = 2**15
+
 
 def make_complete_ternary(height):
     """Complete ternary tree of the given height, BFS-labeled from the root."""
     if height < 0:
         raise OutOfRangeError("height must be >= 0")
     n = (3 ** (height + 1) - 1) // 2
-    if n > 10**6:
-        raise OutOfRangeError(f"n={n} exceeds budget {10**6}")
+    if n > MAX_TREE_VERTICES:
+        raise OutOfRangeError(f"n={n} exceeds budget {MAX_TREE_VERTICES}")
     edges = []
     for v in range(1, n):
         edges.append(((v - 1) // 3, v))
     return RootedTree(Graph(n, edges), 0)
 
 
-def make_T_ell(ell, max_vertices=10**6):
+def make_T_ell(ell):
     """Complete ternary tree of height ell with every leaf turned into the
     middle vertex of a 5-vertex path; n = 4*3^ell + sum_{i<=ell} 3^i."""
     if ell < 1:
         raise OutOfRangeError("ell must be >= 1")
     core = (3 ** (ell + 1) - 1) // 2
     n = core + 4 * 3**ell
-    if n > max_vertices:
-        raise OutOfRangeError(f"n={n} exceeds budget {max_vertices}")
+    if n > MAX_TREE_VERTICES:
+        raise OutOfRangeError(f"n={n} exceeds budget {MAX_TREE_VERTICES}")
     edges = [((v - 1) // 3, v) for v in range(1, core)]
     leaves = range(core - 3**ell, core)
     nxt = core
@@ -47,7 +52,7 @@ def make_T_ell(ell, max_vertices=10**6):
     return RootedTree(Graph(n, edges), 0)
 
 
-def make_binary_clique_graph(h1, h2, max_vertices=2**15):
+def make_binary_clique_graph(h1, h2):
     """Complete binary tree of height h1+h2 whose depth-h1 descendant
     subtrees are completed into cliques.
 
@@ -56,8 +61,8 @@ def make_binary_clique_graph(h1, h2, max_vertices=2**15):
     if h1 < 1 or h2 < 0:
         raise OutOfRangeError("need h1 >= 1 and h2 >= 0")
     n = 2 ** (h1 + h2 + 1) - 1
-    if n > max_vertices:
-        raise OutOfRangeError(f"n={n} exceeds budget {max_vertices}")
+    if n > MAX_BINARY_CLIQUE_VERTICES:
+        raise OutOfRangeError(f"n={n} exceeds budget {MAX_BINARY_CLIQUE_VERTICES}")
     edges = set()
     for v in range(1, 2 ** (h1 + 1) - 1):
         edges.add(((v - 1) // 2, v))
@@ -92,6 +97,8 @@ def make_nonmonotone_example():
 
 def random_tree(n, seed=0):
     """Random labeled tree: each vertex i >= 1 picks a uniform parent < i."""
+    if n > MAX_TREE_VERTICES:
+        raise OutOfRangeError(f"n={n} exceeds budget {MAX_TREE_VERTICES}")
     rng = random.Random(seed)
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     return RootedTree(Graph(n, edges), 0)

@@ -90,9 +90,6 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    def average_degree(self):
-        return 2.0 * self.m / self.n
-
     def degree(self, v):
         return len(self.adj[v])
 

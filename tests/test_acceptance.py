@@ -31,7 +31,7 @@ from partctl import (
     validate_vertex_partition,
     vertex_partition_profile,
 )
-from partctl.arith import build_interval_table, build_t_table, t_preimage_closed_form
+from partctl.arith import build_t_table, t_intervals, t_preimage_closed_form
 from partctl.cli import verify_inequalities
 from partctl.errors import PackingInfeasibleError
 from partctl.splits import profile_of
@@ -60,16 +60,15 @@ def test_01_nonmonotone_example_exact_profiles():
 
 def test_02_t_table_global_properties():
     cap = 10**6
-    tab = build_t_table(cap)
-    vals = tab.values
+    vals = build_t_table(cap)
     assert all(vals[n] <= vals[n + 1] for n in range(1, cap))
     # the d=3 recurrence identity; n=11 and n=23 are its only exceptions,
     # where d=2 is strictly better by one
     bad = [n for n in range(11, cap + 1) if vals[n] != 3 + vals[(n - 2) // 3 + 1]]
     assert bad == [11, 23]
-    itab = build_interval_table(cap)
-    for h in range(8, itab.max_h + 1):
-        assert itab.preimage(h) == t_preimage_closed_form(h)
+    intervals = t_intervals(vals)
+    for h in range(8, len(intervals)):
+        assert intervals[h] == t_preimage_closed_form(h)
     # anchor family: tripling n adds exactly 3 to t
     ell = 0
     while 10 * 3**ell <= cap:
@@ -169,7 +168,7 @@ def test_07_path_cut_pipeline_guarantees():
 def test_08_packing_pipeline():
     parts, rep = packing_partitions(complete(5), 2)
     assert {profile_of(p) for p in parts} == {(6, 4), (5, 5)}
-    assert len(parts) == count_partitions(rep.leftover, 2, allow_zero=True)
+    assert len(parts) == count_partitions(rep.leftover + 2, 2)
 
     for n in (4, 6, 9):
         try:
@@ -189,7 +188,7 @@ def test_08_packing_pipeline():
         except PackingInfeasibleError:
             continue
         hits += 1
-        assert len(parts) == count_partitions(rep.leftover, 2, allow_zero=True)
+        assert len(parts) == count_partitions(rep.leftover + 2, 2)
     assert hits >= 10
 
 

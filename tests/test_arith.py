@@ -4,12 +4,10 @@ import pytest
 
 from partctl.arith import (
     ascending_compositions,
-    build_interval_table,
     build_t_table,
     count_partitions,
-    empirical_lower_bound_constant,
     erdos_lehner_estimate,
-    t_preimage,
+    t_intervals,
     t_preimage_closed_form,
     t_value,
 )
@@ -36,51 +34,37 @@ def test_known_values():
 
 
 def test_table_matches_full_minimization():
-    ref = brute_t(400)
-    tab = build_t_table(400)
-    assert tab.values == ref
+    assert build_t_table(400) == brute_t(400)
 
 
 def test_t_value_out_of_range():
     with pytest.raises(OutOfRangeError):
         t_value(0)
-    tab = build_t_table(100)
-    with pytest.raises(OutOfRangeError):
-        tab.t(101)
+    # the table holds t(1..capacity) after its unused entry 0, nothing more
+    assert [len(build_t_table(c)) for c in (0, 1, 2, 3, 100)] == [1, 2, 3, 4, 101]
 
 
 def test_preimage_intervals():
-    assert t_preimage(7, capacity=10**4) == (17, 23)
-    assert t_preimage(3, capacity=10**4) == (4, 5)
-    assert t_preimage(9, capacity=10**4) == (35, 49)
-
-
-def test_t_preimage_builds_its_interval_table_once(monkeypatch):
-    from partctl import arith
-
-    builds = []
-    real = arith.build_t_table
-    monkeypatch.setattr(arith, "_interval_cache", {})
-    monkeypatch.setattr(arith, "build_t_table", lambda cap: builds.append(cap) or real(cap))
-    assert t_preimage(7, capacity=3000) == (17, 23)
-    assert t_preimage(9, capacity=3000) == (35, 49)
-    assert builds == [3000]
+    intervals = t_intervals(build_t_table(10**4))
+    assert intervals[7] == (17, 23)
+    assert intervals[3] == (4, 5)
+    assert intervals[9] == (35, 49)
 
 
 def test_closed_form_matches_table():
-    itab = build_interval_table(10**5)
-    for h in range(8, itab.max_h + 1):
-        assert itab.preimage(h) == t_preimage_closed_form(h)
+    intervals = t_intervals(build_t_table(10**5))
+    for h in range(8, len(intervals)):
+        assert intervals[h] == t_preimage_closed_form(h)
     with pytest.raises(OutOfRangeError):
         t_preimage_closed_form(7)
 
 
 def test_t_value_closed_form_search_matches_table():
-    # beyond SMALL_T, t_value searches the closed-form intervals; the table
+    # from n = 24 on, t_value searches the closed-form intervals; the table
     # is the reference for every n <= 10^5 and at each interval edge to 10^6
-    vals = build_t_table(10**6).values
+    vals = build_t_table(10**6)
     assert [t_value(n) for n in range(1, 10**5 + 1)] == vals[1 : 10**5 + 1]
-    for lo, hi in build_interval_table(10**6).intervals:
+    for lo, hi in t_intervals(vals):
         for n in (lo - 1, lo, hi, hi + 1):
             if 1 <= n <= 10**6:
                 assert t_value(n) == vals[n], n
@@ -88,14 +72,28 @@ def test_t_value_closed_form_search_matches_table():
     assert t_value(10 * 3**200) == t_value(10) + 600
 
 
+def test_t_value_builds_no_table(monkeypatch):
+    from partctl import arith
+
+    vals = build_t_table(10**4)
+
+    def no_table(capacity):
+        raise AssertionError("t_value built a table")
+
+    monkeypatch.setattr(arith, "build_t_table", no_table)
+    assert [t_value(n) for n in range(1, 10**4 + 1)] == vals[1:]
+    assert t_value(10 * 3**200) == vals[10] + 600
+
+
 def test_monotone():
     tab = build_t_table(5000)
-    assert all(tab.values[n] <= tab.values[n + 1] for n in range(1, 5000))
+    assert all(tab[n] <= tab[n + 1] for n in range(1, 5000))
 
 
 def test_empirical_constant_bounded():
     # t(n) >= 3*log3(n) - C; the observed gap should be a small constant
-    c = empirical_lower_bound_constant(10**5)
+    tab = build_t_table(10**5)
+    c = max(3 * math.log(n, 3) - tab[n] for n in range(1, 10**5 + 1))
     assert 0 < c < 6
 
 
@@ -103,7 +101,7 @@ def test_count_partitions_basic():
     for n in range(1, 10):
         assert count_partitions(n, 1) == 1
     assert count_partitions(6, 3) == 3  # (4,1,1),(3,2,1),(2,2,2)
-    assert count_partitions(2, 2, allow_zero=True) == 2  # {2,0},{1,1}
+    assert count_partitions(2 + 2, 2) == 2  # {2,0},{1,1} with nonnegative parts
     assert count_partitions(3, 5) == 0
     assert count_partitions(5, 0) == 0
 

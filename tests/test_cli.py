@@ -188,6 +188,24 @@ def test_exact_k3_witnesses_frozen(tmp_path, capsys):
     check_golden(code, out, "nonmonotone_P_k3.json")
 
 
+@pytest.mark.parametrize("max_, intervals", [
+    ("100", False), ("100000", True),
+    *((m, iv) for m in ("0", "1", "2", "3") for iv in (False, True)),
+])
+def test_tseq_frozen(capsys, max_, intervals):
+    # the intervals drop the last run, which the table may cut short; at
+    # --max 0..3 the table holds only t(1..max), so few runs or none remain
+    code, out, _ = run(capsys, "tseq", "--max", max_, *(["--intervals"] if intervals else []))
+    check_golden(code, out, f"tseq_max{max_}{'_intervals' if intervals else ''}.csv")
+
+
+def test_verify_t_table_frozen(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "t-table")
+    lines = out.splitlines(keepends=True)
+    lines[-1] = lines[-1].rsplit(" time=", 1)[0] + "\n"
+    check_golden(code, "".join(lines), "verify_t_table.txt")
+
+
 @pytest.mark.parametrize("name, argv", [
     ("pathcut", ("--method", "pathcut")),
     ("packing_k2", ("--method", "packing", "--k", "2")),
@@ -239,12 +257,16 @@ def test_part_count_below_one_is_usage_error(tmp_path, capsys, argv):
     (None, ("family", "--name", "random_connected", "--n", "0", "--m", "0")),
     (None, ("family", "--name", "random_connected", "--n", "-3", "--m", "-4")),
     (None, ("family", "--name", "ternary", "--height", "25")),
+    (None, ("family", "--name", "ternary", "--height", "9")),
+    (None, ("family", "--name", "T_ell", "--ell", "8")),
+    (None, ("family", "--name", "random_tree", "--n", "20001")),
 ], ids=["splits-root-out-of-range", "negative-header", "cmc-fewer-vertices-than-r",
         "one-vertex-exact-cmc", "one-vertex-cut-bound", "one-vertex-cut-bound-r3",
         "one-vertex-packing", "one-vertex-packing-k3", "splits-out-is-directory",
         "bounds-report-is-directory", "exact-out-is-directory", "verify-out-is-directory",
         "tree-p2-not-a-tree", "family-random-connected-n0", "family-random-connected-negative-n",
-        "family-ternary-too-tall"])
+        "family-ternary-too-tall", "family-ternary-height-9", "family-T-ell-8",
+        "family-random-tree-20001"])
 def test_bad_input_is_input_error(tmp_path, capsys, text, argv):
     # "{dir}" names a directory, where an output file cannot be written
     argv = [a.replace("{dir}", str(tmp_path)) for a in argv]

@@ -36,6 +36,9 @@ def test_t_ell_sizes():
 
 
 def test_t_ell_budget():
+    # ell = 7 has 12,028 vertices and ell = 8 has 36,085
+    with pytest.raises(OutOfRangeError):
+        make_T_ell(8)
     with pytest.raises(OutOfRangeError):
         make_T_ell(13)
     with pytest.raises(OutOfRangeError):
