@@ -42,7 +42,9 @@ from .graph import (
     bfs_tree,
     bits,
     blocks,
+    closure,
     components,
+    induced_edge_sets,
     is_connected,
     is_connected_edge_set,
     is_connected_vertex_set,
@@ -106,22 +108,16 @@ def long_path(G, mask):
     path = deque([start])
     onpath = 1 << start
     while True:
-        tail = path[-1]
-        cand = G.neighbor_masks[tail] & mask & ~onpath
-        if cand:
-            v = (cand & -cand).bit_length() - 1
-            path.append(v)
-            onpath |= 1 << v
-            continue
-        head = path[0]
-        cand = G.neighbor_masks[head] & mask & ~onpath
-        if cand:
-            v = (cand & -cand).bit_length() - 1
-            path.appendleft(v)
-            onpath |= 1 << v
-            continue
-        break
-    return list(path)
+        # the tail first; after any extension, the tail again
+        for end, extend in ((path[-1], path.append), (path[0], path.appendleft)):
+            cand = G.neighbor_masks[end] & mask & ~onpath
+            if cand:
+                v = (cand & -cand).bit_length() - 1
+                extend(v)
+                onpath |= 1 << v
+                break
+        else:
+            return list(path)
 
 
 @dataclass
@@ -141,7 +137,8 @@ def path_cut_partitions(G):
     Pipeline: dense core H, greedy long path truncated to ceil(delta(H)/2)
     vertices, cut edges ordered along the path; prefix l of the cut plus the
     reached path prefix plus the outside components already touched forms one
-    part, the rest the other.
+    part, the rest the other.  Each component of G minus the prefix joins
+    part 1 with the first cut edge into it.
     """
     if not is_connected(G):
         raise DisconnectedError("path-cut pipeline needs a connected graph")
@@ -150,46 +147,29 @@ def path_cut_partitions(G):
     path = long_path(G, core.vertices)
     t = max(1, (delta + 1) // 2)
     prefix = path[:t]
-    pset = 0
-    for v in prefix:
-        pset |= 1 << v
+    pset = mask_of(prefix)
     pos = {v: i for i, v in enumerate(prefix)}
 
-    cut = []  # (path_index, edge_id)
+    cut = []  # (path index, edge id, outside endpoint)
     for ei, (u, v) in enumerate(G.edges):
         inu, inv = (pset >> u) & 1, (pset >> v) & 1
         if inu != inv:
-            cut.append((pos[u if inu else v], ei))
+            cut.append((pos[u], ei, v) if inu else (pos[v], ei, u))
     cut.sort()
     m_cut = len(cut)
 
-    comps = components(G, removed=pset)
-    comp_edges = [G.edge_set_of_vertices(c) for c in comps]
-    attach = [None] * len(comps)  # first cut index (1-based) touching comp
-    for idx, (_, ei) in enumerate(cut, start=1):
-        u, v = G.edges[ei]
-        w = v if (pset >> u) & 1 else u
-        for ci, c in enumerate(comps):
-            if (c >> w) & 1:
-                if attach[ci] is None:
-                    attach[ci] = idx
-                break
-
-    prefix_edges = [0] * (t + 1)
-    acc_v = 0
-    for r, v in enumerate(prefix, start=1):
-        acc_v |= 1 << v
-        prefix_edges[r] = G.edge_set_of_vertices(acc_v)
-
+    prefix_edges = list(induced_edge_sets(G, [mask_of(prefix[:r]) for r in range(t + 1)]))
+    outside = G.full_vertex_mask() & ~pset
+    reached = 0  # the outside components part 1 holds
     full = G.full_edge_mask()
     out = []
     e1 = 0
-    for idx, (pi, ei) in enumerate(cut, start=1):
-        e1 |= 1 << ei
-        e1 |= prefix_edges[pi + 1]
-        for ci in range(len(comps)):
-            if attach[ci] == idx:
-                e1 |= comp_edges[ci]
+    for idx, (pi, ei, w) in enumerate(cut, start=1):
+        e1 |= 1 << ei | prefix_edges[pi + 1]
+        if not (reached >> w) & 1:
+            comp = closure(G.neighbor_masks, w, outside)
+            reached |= comp
+            e1 |= G.edge_set_of_vertices(comp)
         e2 = full & ~e1
         if e2:
             parts = [e1, e2]
@@ -362,19 +342,23 @@ def spanning_tree_packing(G, k, mask):
 
 def _check_packing(packing):
     """The trees are k edge-disjoint spanning trees of G[vertices], and they
-    and the leftover partition E(vertices)."""
-    G = packing.graph
-    edges = G.edge_set_of_vertices(packing.vertices)
-    need = packing.vertices.bit_count() - 1
+    and the leftover partition E(vertices).  A tree of |V| - 1 edges inside
+    E(V) spans V exactly when it connects V; otherwise it closes a cycle."""
+    G, V = packing.graph, packing.vertices
+    edges = G.edge_set_of_vertices(V)
+    need = V.bit_count() - 1
     seen = 0
     for t in packing.trees:
         if seen & t:
             raise ConstructionFailedError("trees not edge-disjoint")
         seen |= t
-        # n-1 acyclic edges inside the vertex set => spanning tree
         if t.bit_count() != need or t & ~edges:
             raise ConstructionFailedError("forest does not span")
-        if not _acyclic(G, t):
+        tadj = [0] * G.n
+        for u, v in (G.edges[eid] for eid in bits(t)):
+            tadj[u] |= 1 << v
+            tadj[v] |= 1 << u
+        if closure(tadj, (V & -V).bit_length() - 1, V) != V:
             raise ConstructionFailedError("forest has a cycle")
     if seen & packing.leftover:
         raise ConstructionFailedError("leftover edges overlap the trees")
@@ -392,24 +376,6 @@ def _check_cover(parts, full, what):
         union |= p
     if union != full:
         raise ConstructionFailedError(f"{what} does not cover the graph")
-
-
-def _acyclic(G, emask):
-    parent = list(range(G.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in bits(emask):
-        u, v = G.edges[eid]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
 
 
 @dataclass
@@ -515,14 +481,13 @@ def connected_cut_bound(G, r=2):
         order = st_numbering(G, lo, hi, bmask)
         a = mask_of(order[:s])
         parts = [a, bmask & ~a]
+    elif n_core < r:
+        # G has at least r vertices (checked above), though its core has not
+        parts = _leaf_peel(G, r, G.full_vertex_mask())
     else:
-        if n_core < r:
-            raise ConstructionFailedError(f"core smaller than r={r}")
         s = max(1, delta // (2 * r))
         while (r - 1) * s >= n_core:
             s -= 1
-        if s < 1:
-            raise ConstructionFailedError(f"core smaller than r={r}")
         sizes = [s] * (r - 1) + [n_core - (r - 1) * s]
         # under the budget the search is exact, so greedy growth, whose parts
         # have these sizes too, could find nothing it missed
@@ -541,24 +506,16 @@ def connected_cut_bound(G, r=2):
 
 
 def _greedy_regions(G, sizes, mask):
-    """BFS region growing in the vertex bitmask ``mask``: parts of the
-    requested sizes, last part is the remainder (validated for
-    connectivity)."""
+    """BFS region growing in the vertex bitmask ``mask``: each part is the
+    first s vertices of the BFS order from the lowest remaining vertex, the
+    last part is the remainder (validated for connectivity)."""
     remaining = mask
     parts = []
     for s in sizes[:-1]:
-        seed = (remaining & -remaining).bit_length() - 1
-        S = 1 << seed
-        frontier = deque([seed])
-        while S.bit_count() < s and frontier:
-            x = frontier.popleft()
-            for y in bits(G.neighbor_masks[x] & remaining & ~S):
-                if S.bit_count() >= s:
-                    break
-                S |= 1 << y
-                frontier.append(y)
-        if S.bit_count() != s:
+        order, _, _ = bfs_tree(G.neighbor_masks, (remaining & -remaining).bit_length() - 1, remaining)
+        if len(order) < s:
             return None
+        S = mask_of(order[:s])
         parts.append(S)
         remaining &= ~S
     # the grown parts are connected by construction
@@ -627,12 +584,8 @@ def ordered_vertex_partitions(G, k):
     # subpath empty, and no tuple is tried
     usable = path[:-1]
     base, extra = divmod(len(usable), k - 1)
-    subpaths = []
-    at = 0
-    for i in range(k - 1):
-        ln = base + (1 if i < extra else 0)
-        subpaths.append(usable[at : at + ln])
-        at += ln
+    subpaths = [usable[i * base + min(i, extra) : (i + 1) * base + min(i + 1, extra)]
+                for i in range(k - 1)]
     report.subpath_lens = [len(p) for p in subpaths]
 
     prefixes = [[mask_of(sp[:a]) for a in range(1, len(sp) + 1)] for sp in subpaths]

@@ -221,7 +221,8 @@ def _check(records, name, ok, lhs=None, rhs=None, spec=None):
     return bool(ok)
 
 
-def verify_t_table(seed=0, capacity=10**6):
+def verify_t_table(seed=0):
+    capacity = 10**6
     records = []
     vals = arith.build_t_table(capacity)
     _check(
@@ -277,12 +278,12 @@ def verify_t_table(seed=0, capacity=10**6):
     return records
 
 
-def verify_inequalities(seed=0, count=100):
+def verify_inequalities(seed=0):
     import random
 
     rng = random.Random(seed)
     records = []
-    for i in range(count):
+    for i in range(100):
         n = rng.randint(4, 10)
         m = rng.randint(n - 1, n * (n - 1) // 2)
         gseed = seed * 100003 + i
@@ -317,12 +318,12 @@ def verify_inequalities(seed=0, count=100):
     return records
 
 
-def verify_trees(seed=0, count=200):
+def verify_trees(seed=0):
     import random
 
     rng = random.Random(seed)
     records = []
-    for i in range(count):
+    for i in range(200):
         n = rng.randint(2, 11)
         tseed = seed * 100003 + i
         T = families.random_tree(n, seed=tseed)
@@ -414,15 +415,19 @@ def cmd_verify(args):
 # ---------------------------------------------------------------- dispatch
 
 
-def _at_least_one(text):
-    """argparse type for --k, --r and --max-size: an integer, at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _at_least(low):
+    """argparse type: an integer, at least ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser():
@@ -434,9 +439,9 @@ def build_parser():
 
     q = sub.add_parser("exact", help="exact P / pi / cmc on a graph file")
     q.add_argument("--what", choices=["P", "pi", "cmc"], required=True)
-    q.add_argument("--k", type=_at_least_one, default=2)
-    q.add_argument("--r", type=_at_least_one, default=2)
-    q.add_argument("--max-size", type=_at_least_one, default=None,
+    q.add_argument("--k", type=_at_least(1), default=2)
+    q.add_argument("--r", type=_at_least(1), default=2)
+    q.add_argument("--max-size", type=_at_least(1), default=None,
                    help="override the edge/vertex budget")
     q.add_argument("--input", required=True)
     q.add_argument("--out", default=None)
@@ -445,8 +450,8 @@ def build_parser():
     q = sub.add_parser("bounds", help="constructive lower-bound pipelines")
     q.add_argument("--method", choices=["pathcut", "packing", "cmc", "pi"],
                    required=True)
-    q.add_argument("--k", type=_at_least_one, default=2)
-    q.add_argument("--r", type=_at_least_one, default=2)
+    q.add_argument("--k", type=_at_least(1), default=2)
+    q.add_argument("--r", type=_at_least(1), default=2)
     q.add_argument("--input", required=True)
     q.add_argument("--report", default=None, help="write JSON report here")
     q.set_defaults(func=cmd_bounds)
@@ -467,7 +472,7 @@ def build_parser():
     q.set_defaults(func=cmd_family)
 
     q = sub.add_parser("tseq", help="CSV of the t sequence or its intervals")
-    q.add_argument("--max", type=int, required=True)
+    q.add_argument("--max", type=_at_least(0), required=True)
     q.add_argument("--intervals", action="store_true")
     q.set_defaults(func=cmd_tseq)
 

@@ -380,10 +380,8 @@ def cmc(G, r=2, max_vertices=None):
     return CutWitness(witness, best)
 
 
-def validate_vertex_partition(G, parts, k=None, sizes=None):
+def validate_vertex_partition(G, parts, k=None):
     if k is not None and len(parts) != k:
-        return False
-    if sizes is not None and sorted(p.bit_count() for p in parts) != sorted(sizes):
         return False
     union = 0
     for p in parts:

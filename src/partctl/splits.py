@@ -187,10 +187,17 @@ def _k_partitions(G, vmask, emask, k):
     root = (vmask & -vmask).bit_length() - 1
     order, parent, tree = bfs_tree(G.neighbor_masks, root, vmask)
     if k == 2:
-        v, chunk = root, vmask
-    else:
-        v = _centroid(order, parent)
-        chunk = _centroid_chunk(tree, vmask, v)
+        return _split_rows(G, tree, vmask, emask, vmask, root, k)
+    v = _centroid(order, parent)
+    return _split_rows(G, tree, vmask, emask, _centroid_chunk(tree, vmask, v), v, k)
+
+
+def _split_rows(G, tree, vmask, emask, chunk, v, k):
+    """The rows of ``_k_partitions(G, vmask, emask, k)`` from the split
+    sequence of the subtree ``chunk`` of ``tree`` (per-vertex tree-neighbor
+    masks) rooted at v: each split's B, with everything outside the chunk,
+    holding at least k - 1 of the edges recurses with k - 1 parts, and the
+    rest of ``emask`` is the first part."""
     ext = vmask & ~chunk
     Bs = [ext | B for _, B, _ in _split_items(tree, chunk, v)]
     out = []
@@ -262,11 +269,16 @@ def tree_exact_P2(T):
 
 def tree_lower_bound_partitions(T):
     """Distinct-size connected 2-edge-partitions of a tree via the equal-split
-    (Case I) or oriented-sink (Case II) construction; count >= t(n) - 2."""
+    (Case I) or oriented-sink (Case II) construction; count >= t(n) - 2.
+
+    Both cases pick a chunk, a subtree that meets the rest of the tree only
+    at its root v, and run the split sequence inside it.  Since v lies in
+    every B, a split (A, B) gives [E(A), E(rest + B)]."""
     G = T.graph
     n = G.n
     if n < 2:
         return []
+    full = G.full_vertex_mask()
     sz = _subtree_sizes(T.order, T.parent)
 
     # Case I: an edge whose removal splits the tree into equal halves
@@ -279,8 +291,8 @@ def tree_lower_bound_partitions(T):
     if half_vertex >= 0:
         # the subtree below half_vertex is all it reaches without its parent
         above = 1 << T.parent[half_vertex]
-        sub_mask = closure(G.neighbor_masks, half_vertex, G.full_vertex_mask() & ~above)
-        return _partitions_from_subtree(G, sub_mask, half_vertex)
+        sub_mask = closure(G.neighbor_masks, half_vertex, full & ~above)
+        return _split_rows(G, G.neighbor_masks, full, G.full_edge_mask(), sub_mask, half_vertex, 2)
 
     # Case II: no edge halves the tree, so its centroid is the unique vertex
     # whose branches all hold fewer than n/2 vertices
@@ -302,20 +314,7 @@ def tree_lower_bound_partitions(T):
         if 2 * s < n:
             tmask = pref | (1 << sink)
         else:
-            tmask = G.full_vertex_mask() & ~pref  # the other components and the sink
+            tmask = full & ~pref  # the other components and the sink
     if 3 * tmask.bit_count() < n - 1:
         raise ConstructionFailedError("Case II chunk too small")
-    return _partitions_from_subtree(G, tmask, sink)
-
-
-def _partitions_from_subtree(G, sub_mask, local_root):
-    """Run the split sequence inside the subtree sub_mask of the tree G and
-    turn each split into a 2-edge-partition of the whole tree."""
-    items = _split_items(G.neighbor_masks, sub_mask, local_root)
-    full = G.full_edge_mask()
-    out = []
-    for e1 in induced_edge_sets(G, [A for A, _, _ in items]):
-        e2 = full & ~e1
-        if e1 and e2:
-            out.append([e1, e2])
-    return out
+    return _split_rows(G, G.neighbor_masks, full, G.full_edge_mask(), tmask, sink, 2)

@@ -465,6 +465,22 @@ def test_cut_bound_k5_r3():
     assert w.cut_size <= cmc(complete(5), 3).cut_size
 
 
+def test_cut_bound_with_a_core_smaller_than_r():
+    # a core of fewer than r vertices falls back to the leaf peel of all of G
+    rng = random.Random(5)
+    small = 0
+    for s in range(300):
+        n = rng.randint(4, 9)
+        G = random_connected_graph(n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)), seed=s)
+        n_core = dense_core(G).size
+        for r in range(3, min(6, n) + 1):
+            small += n_core < r
+            w = connected_cut_bound(G, r)
+            assert validate_vertex_partition(G, w.parts, r), (G.edges, r)
+            assert w.cut_size <= cmc(G, r).cut_size, (G.edges, r)
+    assert small >= 30, small
+
+
 # --------------------------------------------------- ordered vertex parts
 
 
@@ -635,3 +651,188 @@ def test_prescribed_partition_on_mask_matches_relabeled():
             found[want is not None] += 1
             assert got == (None if want is None else [_lift(p, vmap) for p in want])
     assert min(found.values()) >= 10, found
+
+
+# --------------------------------- earlier forms of the pipelines as references
+
+
+def _long_path_reference(G, mask):
+    """long_path with its tail and head extensions as two copied blocks."""
+    start = (mask & -mask).bit_length() - 1
+    path = deque([start])
+    onpath = 1 << start
+    while True:
+        cand = G.neighbor_masks[path[-1]] & mask & ~onpath
+        if cand:
+            v = (cand & -cand).bit_length() - 1
+            path.append(v)
+            onpath |= 1 << v
+            continue
+        cand = G.neighbor_masks[path[0]] & mask & ~onpath
+        if cand:
+            v = (cand & -cand).bit_length() - 1
+            path.appendleft(v)
+            onpath |= 1 << v
+            continue
+        return list(path)
+
+
+def _path_cut_reference(G):
+    """The path-cut partitions from a table of the components of G minus the
+    path prefix, each attached at the first cut edge into it, found by a scan
+    of every component per cut edge."""
+    core = dense_core(G)
+    path = long_path(G, core.vertices)
+    prefix = path[: max(1, (core.min_degree + 1) // 2)]
+    pset = mask_of(prefix)
+    pos = {v: i for i, v in enumerate(prefix)}
+    cut = sorted((pos[u] if (pset >> u) & 1 else pos[v], ei)
+                 for ei, (u, v) in enumerate(G.edges) if (pset >> u) & 1 != (pset >> v) & 1)
+    comps = bounds.components(G, removed=pset)
+    attach = [None] * len(comps)
+    for idx, (_, ei) in enumerate(cut, start=1):
+        u, v = G.edges[ei]
+        w = v if (pset >> u) & 1 else u
+        ci = next(ci for ci, c in enumerate(comps) if (c >> w) & 1)
+        if attach[ci] is None:
+            attach[ci] = idx
+    full = G.full_edge_mask()
+    out = []
+    e1 = 0
+    for idx, (pi, ei) in enumerate(cut, start=1):
+        e1 |= 1 << ei | G.edge_set_of_vertices(mask_of(prefix[: pi + 1]))
+        for ci, c in enumerate(comps):
+            if attach[ci] == idx:
+                e1 |= G.edge_set_of_vertices(c)
+        if full & ~e1:
+            out.append([e1, full & ~e1])
+    if not out and G.m >= 2:
+        out.append(bounds._single_edge_split(G))
+    return out
+
+
+def _greedy_regions_reference(G, sizes, mask):
+    """_greedy_regions with each part grown by its own deque BFS that stops
+    at the part's size."""
+    remaining = mask
+    parts = []
+    for s in sizes[:-1]:
+        seed = (remaining & -remaining).bit_length() - 1
+        S = 1 << seed
+        frontier = deque([seed])
+        while S.bit_count() < s and frontier:
+            x = frontier.popleft()
+            for y in bits(G.neighbor_masks[x] & remaining & ~S):
+                if S.bit_count() >= s:
+                    break
+                S |= 1 << y
+                frontier.append(y)
+        if S.bit_count() != s:
+            return None
+        parts.append(S)
+        remaining &= ~S
+    if remaining == 0 or not bounds.is_connected_vertex_set(G, remaining):
+        return None
+    return parts + [remaining]
+
+
+def _acyclic_reference(G, emask):
+    """Union-find cycle test of an edge mask."""
+    parent = list(range(G.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for eid in bits(emask):
+        ru, rv = (find(x) for x in G.edges[eid])
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def _reference_graphs():
+    """Seeded random graphs and cored graphs, a 30-vertex dense core plus a
+    tree periphery, whose core is above the prescribed-size budget."""
+    rng = random.Random(71)
+    out = []
+    for s in range(60):
+        n = rng.randint(2, 24)
+        out.append(random_connected_graph(n, rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n)), seed=s))
+    return out + [cored(60, 30, 150, s) for s in range(12)]
+
+
+REFERENCE_GRAPHS = _reference_graphs()
+# each reference graph with its dense core, and the seeded connected masks
+REFERENCE_MASKS = [(G, dense_core(G).vertices) for G in REFERENCE_GRAPHS] + [
+    (G, mask) for G, mask, *_ in MASKED]
+
+
+def test_long_path_matches_two_block_reference():
+    for G, mask in REFERENCE_MASKS:
+        assert long_path(G, mask) == _long_path_reference(G, mask)
+
+
+def test_path_cut_matches_attach_table_reference():
+    several = 0
+    for G in REFERENCE_GRAPHS:
+        parts, rep = path_cut_partitions(G)
+        assert parts == _path_cut_reference(G), G.edges
+        assert rep.emitted == len(parts)
+        pset = mask_of(long_path(G, dense_core(G).vertices)[: rep.prefix_len])
+        several += len(bounds.components(G, removed=pset)) > 1
+    assert several >= 8, several
+
+
+def test_greedy_regions_match_deque_reference():
+    found = {True: 0, False: 0}
+    rng = random.Random(72)
+    for G, mask in REFERENCE_MASKS:
+        size = mask.bit_count()
+        for r in range(2, min(5, size) + 1):
+            cuts = sorted(rng.sample(range(1, size), r - 1))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, size])]
+            want = _greedy_regions_reference(G, sizes, mask)
+            assert bounds._greedy_regions(G, sizes, mask) == want, (G.edges, sizes)
+            found[want is not None] += 1
+    assert min(found.values()) >= 20, found
+
+
+def test_check_packing_rejects_exactly_the_swaps_that_close_a_cycle():
+    outcomes = {True: 0, False: 0}
+    for s in range(4):
+        G = cored(40, 12, 50, s)
+        packing = spanning_tree_packing(G, 2, dense_core(G).vertices)
+        bounds._check_packing(packing)
+        for i, tree in enumerate(packing.trees):
+            for e in bits(tree):
+                for f in bits(packing.leftover):
+                    trees = list(packing.trees)
+                    trees[i] = tree & ~(1 << e) | 1 << f
+                    swapped = bounds.TreePacking(G, packing.vertices, trees,
+                                                 packing.leftover & ~(1 << f) | 1 << e)
+                    ok = _acyclic_reference(G, trees[i])
+                    outcomes[ok] += 1
+                    if ok:
+                        bounds._check_packing(swapped)
+                    else:
+                        with pytest.raises(ConstructionFailedError, match="forest has a cycle"):
+                            bounds._check_packing(swapped)
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda p: (p.trees[0], p.trees[1] | p.trees[0] & -p.trees[0], p.leftover), "not edge-disjoint"),
+    (lambda p: (p.trees[0] & p.trees[0] - 1, p.trees[1], p.leftover), "does not span"),
+    (lambda p: (p.trees[0], p.trees[1], p.leftover | p.trees[0]), "leftover edges overlap"),
+    (lambda p: (p.trees[0], p.trees[1], p.leftover & p.leftover - 1), "do not cover"),
+])
+def test_check_packing_messages(corrupt, message):
+    G = complete(6)
+    packing = spanning_tree_packing(G, 2, G.full_vertex_mask())
+    assert packing.leftover
+    t0, t1, leftover = corrupt(packing)
+    with pytest.raises(ConstructionFailedError, match=message):
+        bounds._check_packing(bounds.TreePacking(G, packing.vertices, [t0, t1], leftover))

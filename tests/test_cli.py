@@ -240,6 +240,24 @@ def test_part_count_below_one_is_usage_error(tmp_path, capsys, argv):
     assert "expected an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-4", "-1", "x"])
+def test_tseq_max_below_zero_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["tseq", "--max", value])
+    assert exc.value.code == 2
+    assert "expected an integer >= 0" in capsys.readouterr().err
+
+
+def test_cut_bound_with_a_core_smaller_than_r(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    assert main(["family", "--name", "random_connected", "--n", "5", "--m", "6",
+                 "--seed", "4", "--out", str(g)]) == 0
+    code, out, _ = run(capsys, "exact", "--what", "cmc", "--r", "5", "--input", str(g))
+    assert code == 0 and json.loads(out)["value"] == 6
+    code, out, _ = run(capsys, "bounds", "--method", "cmc", "--r", "5", "--input", str(g))
+    assert code == 0 and json.loads(out)["cut_size"] == 6
+
+
 @pytest.mark.parametrize("text, argv", [
     ("4 3\n0 1\n1 2\n2 3\n", ("splits", "--root", "9")),
     ("-1 0\n", ("exact", "--what", "P")),
@@ -260,13 +278,15 @@ def test_part_count_below_one_is_usage_error(tmp_path, capsys, argv):
     (None, ("family", "--name", "ternary", "--height", "9")),
     (None, ("family", "--name", "T_ell", "--ell", "8")),
     (None, ("family", "--name", "random_tree", "--n", "20001")),
+    ("4 4\n0 1\n1 2\n2 3\n0 3\n", ("bounds", "--method", "packing", "--k", "1")),
+    ("4 4\n0 1\n1 2\n2 3\n0 3\n", ("bounds", "--method", "pi", "--k", "1")),
 ], ids=["splits-root-out-of-range", "negative-header", "cmc-fewer-vertices-than-r",
         "one-vertex-exact-cmc", "one-vertex-cut-bound", "one-vertex-cut-bound-r3",
         "one-vertex-packing", "one-vertex-packing-k3", "splits-out-is-directory",
         "bounds-report-is-directory", "exact-out-is-directory", "verify-out-is-directory",
         "tree-p2-not-a-tree", "family-random-connected-n0", "family-random-connected-negative-n",
         "family-ternary-too-tall", "family-ternary-height-9", "family-T-ell-8",
-        "family-random-tree-20001"])
+        "family-random-tree-20001", "packing-k1", "pi-k1"])
 def test_bad_input_is_input_error(tmp_path, capsys, text, argv):
     # "{dir}" names a directory, where an output file cannot be written
     argv = [a.replace("{dir}", str(tmp_path)) for a in argv]

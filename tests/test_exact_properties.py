@@ -164,7 +164,7 @@ def test_gyori_lovasz_matches_brute_force():
                     sizes,
                 )
                 if parts is not None:
-                    assert validate_vertex_partition(G, parts, k, sizes=sizes)
+                    assert validate_vertex_partition(G, parts, k)
                     assert [p.bit_count() for p in parts] == list(sizes)
 
 

@@ -12,6 +12,7 @@ from partctl import (
     bits,
     components,
     edge_partition_profile,
+    make_T_ell,
     mask_of,
     nested_split_sequence,
     random_connected_graph,
@@ -23,8 +24,8 @@ from partctl import (
     validate_edge_partition,
 )
 from partctl.errors import ConstructionFailedError, TooSmallError
-from partctl.graph import bfs_tree
-from partctl.splits import SplitSequence, _centroid_chunk, centroid, profile_of
+from partctl.graph import bfs_tree, closure
+from partctl.splits import SplitSequence, _centroid_chunk, _split_items, centroid, profile_of
 
 
 def path(n):
@@ -327,8 +328,6 @@ def test_tree_lower_bound_random():
 
 
 def test_tree_lower_bound_subset_of_exact():
-    from partctl import make_T_ell
-
     T = make_T_ell(2)
     out = tree_lower_bound_partitions(T)
     exact = tree_exact_P2(T)
@@ -407,3 +406,44 @@ def test_check_rejects_corrupted_sequence(corrupt, message):
     with pytest.raises(ConstructionFailedError) as exc:
         SplitSequence(T, corrupt(items)).check()
     assert str(exc.value) == message
+
+
+def _tree_lower_bound_reference(T):
+    """tree_lower_bound_partitions with each split turned into a partition by
+    its own loop over the A sides: [E(A), E(T) - E(A)]."""
+    G = T.graph
+    n = G.n
+    if n < 2:
+        return []
+    below = {u: closure(G.neighbor_masks, u, G.full_vertex_mask() & ~(1 << T.parent[u]))
+             for u in range(n) if T.parent[u] >= 0}
+    half = [u for u in sorted(below) if 2 * below[u].bit_count() == n]
+    if half:
+        chunk, v = below[half[0]], half[0]
+    else:
+        v = centroid(T)
+        comps = sorted(components(G, removed=1 << v), key=lambda c: (-c.bit_count(), c & -c))
+        pref, s = 0, 0
+        for c in comps:
+            pref |= c
+            s += c.bit_count()
+            if 3 * s >= n - 1:
+                break
+        chunk = pref | 1 << v if 2 * s < n or pref == comps[0] else G.full_vertex_mask() & ~pref
+    full = G.full_edge_mask()
+    out = []
+    for A, _, _ in _split_items(G.neighbor_masks, chunk, v):
+        e1 = _edges_inside(G, A)
+        if e1 and full & ~e1:
+            out.append([e1, full & ~e1])
+    return out
+
+
+def test_tree_lower_bound_matches_per_split_reference():
+    rng = random.Random(31)
+    for i in range(150):
+        T = random_tree(rng.randint(1, 40), seed=3000 + i)
+        T = RootedTree(T.graph, rng.randrange(T.graph.n))
+        assert tree_lower_bound_partitions(T) == _tree_lower_bound_reference(T), T.graph.edges
+    for T in (RootedTree(path(6), 2), RootedTree(star(5), 3), make_T_ell(2)):
+        assert tree_lower_bound_partitions(T) == _tree_lower_bound_reference(T)
