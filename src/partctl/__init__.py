@@ -5,8 +5,8 @@ from .arith import (
     build_t_table,
     count_partitions,
     erdos_lehner_estimate,
-    t_intervals,
     t_preimage_closed_form,
+    t_runs,
     t_value,
 )
 from .bounds import (

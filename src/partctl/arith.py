@@ -5,8 +5,8 @@ against.
 t is defined by t(1)=0, t(2)=1, t(3)=2 and, for n >= 4,
 t(n) = min over d >= 1 of d + t(ceil((n-1)/d)).  Only d in {1,2,3} can attain
 the minimum once n >= 4 (any d >= 4 is dominated by a composition of two
-smaller divisors); the table builder exploits that and the test suite
-re-validates it against full-range minimization.
+smaller divisors; the tests re-check this by full-range minimization), and
+``t_runs`` derives t's O(log n) runs of equal values from that d <= 3 form.
 """
 
 from __future__ import annotations
@@ -16,34 +16,47 @@ import math
 from .errors import OutOfRangeError
 
 
+def t_runs(capacity):
+    """The runs (t, lo, hi) of t on 1..capacity, in order: t(n) = t for
+    lo <= n <= hi, and neighbours with equal t are merged.
+
+    c_d(n) = d + t((n-2)//d + 1), for d = 2, 3, is constant while (n-2)//d + 1
+    stays in one known run (lo, hi): up to n = d*hi + 1.  From a to the nearer
+    of those breakpoints M = min(c_2, c_3) is constant, and the d = 1 term
+    1 + t(n-1) gives t(n) = min(t(a-1) + n - a + 1, M).
+    """
+    if capacity < 1:
+        return []
+    vals, his = [0], [1]  # run i holds t = vals[i] up to n = his[i]
+    i2 = i3 = 0  # the runs holding (a-2)//2 + 1 and (a-2)//3 + 1
+    a = 2
+    while a <= capacity:
+        while his[i2] < (a - 2) // 2 + 1:
+            i2 += 1
+        while his[i3] < (a - 2) // 3 + 1:
+            i3 += 1
+        b = min(2 * his[i2] + 1, 3 * his[i3] + 1, capacity)
+        m = min(2 + vals[i2], 3 + vals[i3])
+        v = vals[-1]
+        while a <= b:
+            v = min(v + 1, m)
+            hi = b if v == m else a
+            if v == vals[-1]:
+                his[-1] = hi
+            else:
+                vals.append(v)
+                his.append(hi)
+            a = hi + 1
+    return [(v, hi0 + 1, hi) for v, hi0, hi in zip(vals, [0] + his, his)]
+
+
 def build_t_table(capacity):
-    """The list [0, t(1), ..., t(capacity)] of capacity + 1 entries, from the
-    recurrence; index 0 is unused.  The d <= 3 minimum holds from n = 2 on."""
-    values = [0, 0][: max(capacity, 0) + 1]  # the unused index 0, then t(1)
-    for n in range(2, capacity + 1):
-        # d=1 is 1 + t(n-1); d=2,3 use ceil((n-1)/d)
-        best = 1 + values[n - 1]
-        c2 = 2 + values[(n - 2) // 2 + 1]
-        if c2 < best:
-            best = c2
-        c3 = 3 + values[(n - 2) // 3 + 1]
-        if c3 < best:
-            best = c3
-        values.append(best)
+    """The list [0, t(1), ..., t(capacity)] of capacity + 1 entries: the
+    expansion of ``t_runs(capacity)``; index 0 is unused."""
+    values = [0]
+    for v, lo, hi in t_runs(capacity):
+        values += [v] * (hi - lo + 1)
     return values
-
-
-def t_intervals(values):
-    """The preimage runs of a table from ``build_t_table``: entry h is the
-    (lo, hi) with t(n) = h exactly for lo <= n <= hi.  The last run is
-    dropped, since the table's capacity may cut it short."""
-    intervals = []
-    lo = 1
-    for n in range(2, len(values)):
-        if values[n] != values[lo]:
-            intervals.append((lo, n - 1))
-            lo = n
-    return intervals
 
 
 def t_value(n):

@@ -8,6 +8,7 @@ check or verification failure.  All JSON output carries "schema":"partctl/1".
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import sys
@@ -172,15 +173,17 @@ def cmd_family(args):
 
 
 def cmd_tseq(args):
-    values = arith.build_t_table(args.max)
+    runs = arith.t_runs(args.max)
     if args.intervals:
+        # the last run is dropped: --max may cut it short
         print("h,lo,hi")
-        for h, (lo, hi) in enumerate(arith.t_intervals(values)):
+        for h, (_, lo, hi) in enumerate(runs[:-1]):
             print(f"{h},{lo},{hi}")
     else:
         print("n,t")
-        for n in range(1, args.max + 1):
-            print(f"{n},{values[n]}")
+        for v, lo, hi in runs:
+            for n in range(lo, hi + 1):
+                print(f"{n},{v}")
     return 0
 
 
@@ -222,22 +225,33 @@ def _check(records, name, ok, lhs=None, rhs=None, spec=None):
 
 
 def verify_t_table(seed=0):
+    """t up to 10^6, checked on its runs from ``arith.t_runs``."""
     capacity = 10**6
     records = []
-    vals = arith.build_t_table(capacity)
+    runs = arith.t_runs(capacity)
+    los = [lo for _, lo, _ in runs]
+    vals = [v for v, _, _ in runs]
+    tiled = los == [1] + [hi + 1 for _, _, hi in runs[:-1]] and runs[-1][2] == capacity
     _check(
         records,
         "monotone",
-        all(vals[n] <= vals[n + 1] for n in range(1, capacity)),
+        tiled and all(lo <= hi for _, lo, hi in runs) and vals == sorted(vals),
         spec=f"capacity={capacity}",
     )
+
+    def t_at(n):
+        return vals[bisect.bisect_right(los, n) - 1]
+
     # the d=3 identity fails at exactly n=11 and n=23 (there d=2 wins by one);
-    # it holds everywhere else, which is what the check pins down
-    bad = [
-        n
-        for n in range(11, capacity + 1)
-        if vals[n] != 3 + vals[(n - 2) // 3 + 1]
-    ]
+    # it holds everywhere else, which is what the check pins down.  Both sides
+    # are constant between the starts of t's runs and of 3 + t((n-2)//3 + 1)'s,
+    # which are 3*lo - 1; each stretch where they differ adds its first 11 n,
+    # enough for the first 10 and to tell the list apart from [11, 23]
+    cuts = sorted({11} | {n for lo in los for n in (lo, 3 * lo - 1) if 11 < n <= capacity})
+    bad = []
+    for a, b in zip(cuts, cuts[1:] + [capacity + 1]):
+        if t_at(a) != 3 + t_at((a - 2) // 3 + 1):
+            bad += range(a, min(b, a + 11))
     _check(
         records,
         "recurrence-d3",
@@ -246,34 +260,19 @@ def verify_t_table(seed=0):
         rhs=[11, 23],
         spec="t(n)=3+t(ceil((n-1)/3)) for n>=11 except n in {11,23}",
     )
-    intervals = arith.t_intervals(vals)
-    ok = True
-    for h in range(8, len(intervals)):
-        if intervals[h] != arith.t_preimage_closed_form(h):
-            ok = False
-            _check(
-                records,
-                "closed-form",
-                False,
-                lhs=intervals[h],
-                rhs=arith.t_preimage_closed_form(h),
-                spec=f"h={h}",
-            )
-    if ok:
+    # the runs' bounds against the closed forms; the last run may be cut short
+    intervals = [(lo, hi) for _, lo, hi in runs[:-1]]
+    wrong = [h for h in range(8, len(intervals)) if intervals[h] != arith.t_preimage_closed_form(h)]
+    for h in wrong:
+        _check(records, "closed-form", False, lhs=intervals[h],
+               rhs=arith.t_preimage_closed_form(h), spec=f"h={h}")
+    if not wrong:
         _check(records, "closed-form", True, spec=f"h=8..{len(intervals) - 1}")
     ell = 0
-    while True:
+    while 10 * 3**ell <= capacity:
         n = 10 * 3**ell
-        if n > capacity:
-            break
-        _check(
-            records,
-            "anchor",
-            vals[n] == vals[10] + 3 * ell,
-            lhs=vals[n],
-            rhs=vals[10] + 3 * ell,
-            spec=f"ell={ell}",
-        )
+        _check(records, "anchor", t_at(n) == t_at(10) + 3 * ell,
+               lhs=t_at(n), rhs=t_at(10) + 3 * ell, spec=f"ell={ell}")
         ell += 1
     return records
 

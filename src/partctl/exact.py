@@ -123,8 +123,8 @@ from .errors import (
     TooSmallError,
 )
 from .graph import (
-    bits,
     closure,
+    induced_edge_sets,
     is_biconnected,
     is_connected,
     is_connected_vertex_set,
@@ -164,12 +164,8 @@ class CutWitness:
 
 
 def cut_size(G, parts):
-    """Number of edges whose endpoints land in different parts."""
-    where = {}
-    for i, p in enumerate(parts):
-        for v in bits(p):
-            where[v] = i
-    return sum(1 for u, v in G.edges if where[u] != where[v])
+    """Edges between different parts of a vertex partition: m less each |E(p)|."""
+    return G.m - sum(e.bit_count() for e in induced_edge_sets(G, parts))
 
 
 def _count_components(adj, comp, forb, limit):

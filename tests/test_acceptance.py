@@ -31,7 +31,7 @@ from partctl import (
     validate_vertex_partition,
     vertex_partition_profile,
 )
-from partctl.arith import build_t_table, t_intervals, t_preimage_closed_form
+from partctl.arith import build_t_table, t_preimage_closed_form
 from partctl.cli import verify_inequalities
 from partctl.errors import PackingInfeasibleError
 from partctl.splits import profile_of
@@ -66,7 +66,9 @@ def test_02_t_table_global_properties():
     # where d=2 is strictly better by one
     bad = [n for n in range(11, cap + 1) if vals[n] != 3 + vals[(n - 2) // 3 + 1]]
     assert bad == [11, 23]
-    intervals = t_intervals(vals)
+    # the table's runs, read off its entries; the last one may be cut short
+    starts = [n for n in range(2, cap + 1) if vals[n] != vals[n - 1]]
+    intervals = list(zip([1] + starts, [s - 1 for s in starts]))
     for h in range(8, len(intervals)):
         assert intervals[h] == t_preimage_closed_form(h)
     # anchor family: tripling n adds exactly 3 to t

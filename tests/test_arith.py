@@ -7,8 +7,8 @@ from partctl.arith import (
     build_t_table,
     count_partitions,
     erdos_lehner_estimate,
-    t_intervals,
     t_preimage_closed_form,
+    t_runs,
     t_value,
 )
 from partctl.errors import OutOfRangeError
@@ -33,8 +33,45 @@ def test_known_values():
     assert t_value(16) == 6
 
 
+def element_loop_t_table(capacity):
+    """The table one n at a time from the d <= 3 recurrence, as
+    ``build_t_table`` built it before it expanded ``t_runs``."""
+    values = [0, 0][: max(capacity, 0) + 1]
+    for n in range(2, capacity + 1):
+        best = 1 + values[n - 1]
+        c2 = 2 + values[(n - 2) // 2 + 1]
+        if c2 < best:
+            best = c2
+        c3 = 3 + values[(n - 2) // 3 + 1]
+        if c3 < best:
+            best = c3
+        values.append(best)
+    return values
+
+
 def test_table_matches_full_minimization():
     assert build_t_table(400) == brute_t(400)
+
+
+def test_table_matches_element_loop():
+    # the element loop's entries do not depend on its capacity, so one
+    # reference at 10^6 holds the reference table of every smaller capacity
+    ref = element_loop_t_table(10**6)
+    assert element_loop_t_table(3000) == ref[:3001]
+    for c in range(3001):
+        assert build_t_table(c) == ref[: c + 1], c
+    assert build_t_table(10**6) == ref
+
+
+def test_runs_tile_and_merge():
+    for c in [*range(3001), 10**6]:
+        runs = t_runs(c)
+        ends = [0] + [hi for _, _, hi in runs]
+        assert [lo for _, lo, _ in runs] == [e + 1 for e in ends[:-1]], c
+        assert all(lo <= hi for _, lo, hi in runs) and ends[-1] == c, c
+        # merged neighbours: the d = 1 term lets t climb by at most one a step
+        assert all(w == v + 1 for (v, _, _), (w, _, _) in zip(runs, runs[1:])), c
+    assert t_runs(-3) == [] and len(t_runs(10**6)) == 38
 
 
 def test_t_value_out_of_range():
@@ -45,16 +82,16 @@ def test_t_value_out_of_range():
 
 
 def test_preimage_intervals():
-    intervals = t_intervals(build_t_table(10**4))
-    assert intervals[7] == (17, 23)
-    assert intervals[3] == (4, 5)
-    assert intervals[9] == (35, 49)
+    runs = t_runs(10**4)
+    assert runs[7] == (7, 17, 23)
+    assert runs[3] == (3, 4, 5)
+    assert runs[9] == (9, 35, 49)
 
 
 def test_closed_form_matches_table():
-    intervals = t_intervals(build_t_table(10**5))
-    for h in range(8, len(intervals)):
-        assert intervals[h] == t_preimage_closed_form(h)
+    runs = t_runs(10**5)[:-1]  # the last run may be cut short
+    for h in range(8, len(runs)):
+        assert runs[h] == (h, *t_preimage_closed_form(h))
     with pytest.raises(OutOfRangeError):
         t_preimage_closed_form(7)
 
@@ -64,7 +101,7 @@ def test_t_value_closed_form_search_matches_table():
     # is the reference for every n <= 10^5 and at each interval edge to 10^6
     vals = build_t_table(10**6)
     assert [t_value(n) for n in range(1, 10**5 + 1)] == vals[1 : 10**5 + 1]
-    for lo, hi in t_intervals(vals):
+    for _, lo, hi in t_runs(10**6):
         for n in (lo - 1, lo, hi, hi + 1):
             if 1 <= n <= 10**6:
                 assert t_value(n) == vals[n], n
@@ -81,6 +118,7 @@ def test_t_value_builds_no_table(monkeypatch):
         raise AssertionError("t_value built a table")
 
     monkeypatch.setattr(arith, "build_t_table", no_table)
+    monkeypatch.setattr(arith, "t_runs", no_table)
     assert [t_value(n) for n in range(1, 10**4 + 1)] == vals[1:]
     assert t_value(10 * 3**200) == vals[10] + 600
 

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from partctl import make_binary_clique_graph, make_nonmonotone_example
-from partctl.cli import main
+from partctl import arith, make_binary_clique_graph, make_nonmonotone_example
+from partctl.cli import EXIT_CHECK, main
 from partctl.graph import write_graph
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -204,6 +204,48 @@ def test_verify_t_table_frozen(capsys):
     lines = out.splitlines(keepends=True)
     lines[-1] = lines[-1].rsplit(" time=", 1)[0] + "\n"
     check_golden(code, "".join(lines), "verify_t_table.txt")
+
+
+# perturbations of run 20 of t (t = 20 on 1904..2794, around the ell = 5
+# anchor n = 2430): each must fail the suite's run-level checks
+def _gap(runs):  # n = 1904 lies in no run
+    v, lo, hi = runs[20]
+    runs[20] = (v, lo + 1, hi)
+
+
+def _drop(runs):  # run 20 falls below run 19
+    runs[20] = (runs[19][0] - 1, *runs[20][1:])
+
+
+def _shift(runs):  # run 20 moves up one n, over the first n of run 21
+    v, lo, hi = runs[20]
+    runs[20] = (v, lo + 1, hi + 1)
+
+
+def _move_boundary(runs):  # the runs still tile 1..10^6 and never decrease
+    (u, a, b), (v, lo, hi) = runs[19:21]
+    runs[19:21] = [(u, a, b + 1), (v, lo + 1, hi)]
+
+
+@pytest.mark.parametrize("perturb, failing", [
+    (_gap, {"monotone", "recurrence-d3", "closed-form"}),
+    (_drop, {"monotone", "recurrence-d3", "anchor"}),
+    (_shift, {"monotone", "recurrence-d3", "closed-form"}),
+    (_move_boundary, {"recurrence-d3", "closed-form"}),
+])
+def test_verify_t_table_fails_on_perturbed_runs(capsys, monkeypatch, perturb, failing):
+    real = arith.t_runs
+
+    def perturbed(capacity):
+        runs = real(capacity)
+        perturb(runs)
+        return runs
+
+    monkeypatch.setattr(arith, "t_runs", perturbed)
+    code, out, _ = run(capsys, "verify", "--suite", "t-table")
+    records = [line.split() for line in out.splitlines()[:-1]]
+    assert code == EXIT_CHECK
+    assert {r[0] for r in records if r[1] == "FAIL"} == failing
 
 
 @pytest.mark.parametrize("name, argv", [

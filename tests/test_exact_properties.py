@@ -17,6 +17,7 @@ from partctl import (
     Graph,
     cmc,
     components,
+    connected_cut_bound,
     cut_size,
     edge_partition_profile,
     gyori_lovasz,
@@ -28,7 +29,7 @@ from partctl import (
     vertex_partition_profile,
 )
 from partctl.exact import iter_connected_vertex_partitions, prescribed_partition
-from partctl.graph import closure
+from partctl.graph import bits, closure
 
 
 def _connected(adj, members):
@@ -148,6 +149,30 @@ def test_cmc_matches_first_maximum_of_enumeration():
             first = max(iter_connected_vertex_partitions(G, r), key=lambda ps: cut_size(G, ps))
             w = cmc(G, r)
             assert (w.cut_size, w.parts) == (cut_size(G, first), first), (G.edges, r)
+
+
+def dict_loop_cut_size(G, parts):
+    """The cut as ``cut_size`` counted it before it took m - sum |E(p)|:
+    a vertex-to-part dict, then one test per edge."""
+    where = {}
+    for i, p in enumerate(parts):
+        for v in bits(p):
+            where[v] = i
+    return sum(1 for u, v in G.edges if where[u] != where[v])
+
+
+def test_cut_size_matches_dict_loop():
+    rng = random.Random(11)
+    for G in graphs(11, 80, 30, 90):
+        for r in (1, 2, 3, 5):
+            # any vertex partition, connected or not, some parts empty
+            parts = [0] * r
+            for v in range(G.n):
+                parts[rng.randrange(r)] |= 1 << v
+            assert cut_size(G, parts) == dict_loop_cut_size(G, parts), (G.edges, parts)
+            if r <= G.n:
+                w = connected_cut_bound(G, r)
+                assert w.cut_size == dict_loop_cut_size(G, w.parts), (G.edges, r)
 
 
 def test_gyori_lovasz_matches_brute_force():
