@@ -56,13 +56,12 @@ from .splits import profile_of, validate_edge_partition
 
 @dataclass
 class CoreSubgraph:
-    """Result of min-degree peeling: a connected subgraph of the parent with
-    minimum degree at least half the parent's average degree."""
+    """Result of min-degree peeling: the vertex mask of a connected subgraph
+    of the input graph with minimum degree at least half the input's average
+    degree."""
 
-    parent: Graph
     vertices: int  # vertex bitmask
     min_degree: int
-    peel_trace: list  # removal order
 
     @property
     def size(self):
@@ -70,32 +69,31 @@ class CoreSubgraph:
 
 
 def dense_core(G):
-    """Iteratively peel vertices of degree < d(G)/2 (lowest id first) and
-    return the largest connected component of what remains."""
+    """Peel every vertex of degree < d(G)/2 and return the largest connected
+    component of what remains.
+
+    One queue peel (Matula and Beck 1983), O(n + m) mask operations: the
+    queue starts with every vertex below the threshold, and a neighbor whose
+    degree drops below it joins the queue.  The threshold is fixed, so what
+    survives does not depend on the order of the peel."""
     n, m = G.n, G.m
-    alive = G.full_vertex_mask()
-    deg = [G.degree(v) for v in range(n)]
-    trace = []
+    deg = [nbrs.bit_count() for nbrs in G.neighbor_masks]
     # deg < d/2 = m/n, compared in integers as deg*n < m
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if (alive >> v) & 1 and deg[v] * n < m:
-                alive &= ~(1 << v)
-                trace.append(v)
-                for u in bits(G.neighbor_masks[v] & alive):
-                    deg[u] -= 1
-                changed = True
+    queue = [v for v in range(n) if deg[v] * n < m]
+    alive = G.full_vertex_mask() & ~mask_of(queue)
+    for v in queue:
+        for u in bits(G.neighbor_masks[v] & alive):
+            deg[u] -= 1
+            if deg[u] * n < m:
+                alive &= ~(1 << u)
+                queue.append(u)
     if not alive:
         raise ConstructionFailedError("peeling emptied the graph")
     comps = components(G, removed=G.full_vertex_mask() & ~alive)
     comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
     core = comps[0]
-    dmin = min(
-        (G.neighbor_masks[v] & core).bit_count() for v in bits(core)
-    )
-    return CoreSubgraph(G, core, dmin, trace)
+    # a survivor's alive neighbors all lie in its own component
+    return CoreSubgraph(core, min(deg[v] for v in bits(core)))
 
 
 def long_path(G, mask):
@@ -564,6 +562,8 @@ def ordered_vertex_partitions(G, k):
     the leaf peel of the core, validated in full."""
     if k < 2:
         raise TooSmallError("k must be >= 2")
+    if G.n < k:
+        raise TooSmallError(f"cannot split {G.n} vertices into {k} parts")
     if not is_connected(G):
         raise DisconnectedError("ordered partitions need a connected graph")
     core = dense_core(G)

@@ -15,12 +15,24 @@ from .graph import Graph, RootedTree
 # (60 MiB for random_tree(20000)), so the tree families stop at this n
 MAX_TREE_VERTICES = 2 * 10**4
 MAX_BINARY_CLIQUE_VERTICES = 2**15
+# the candidate-edge list of random_connected_graph takes O(n^2) memory
+MAX_RANDOM_GRAPH_VERTICES = 1000
+
+
+def _check_exponent(name, value, cap):
+    """Refuse a size argument past cap's bit length before n is computed.
+
+    Each family's n is at least 2**(value - 1), so such a value is over the
+    cap; computing n would take long, and printing it could fail."""
+    if value > cap.bit_length():
+        raise OutOfRangeError(f"{name}={value} gives n over budget {cap}")
 
 
 def make_complete_ternary(height):
     """Complete ternary tree of the given height, BFS-labeled from the root."""
     if height < 0:
         raise OutOfRangeError("height must be >= 0")
+    _check_exponent("height", height, MAX_TREE_VERTICES)
     n = (3 ** (height + 1) - 1) // 2
     if n > MAX_TREE_VERTICES:
         raise OutOfRangeError(f"n={n} exceeds budget {MAX_TREE_VERTICES}")
@@ -35,6 +47,7 @@ def make_T_ell(ell):
     middle vertex of a 5-vertex path; n = 4*3^ell + sum_{i<=ell} 3^i."""
     if ell < 1:
         raise OutOfRangeError("ell must be >= 1")
+    _check_exponent("ell", ell, MAX_TREE_VERTICES)
     core = (3 ** (ell + 1) - 1) // 2
     n = core + 4 * 3**ell
     if n > MAX_TREE_VERTICES:
@@ -60,6 +73,7 @@ def make_binary_clique_graph(h1, h2):
     """
     if h1 < 1 or h2 < 0:
         raise OutOfRangeError("need h1 >= 1 and h2 >= 0")
+    _check_exponent("h1+h2", h1 + h2, MAX_BINARY_CLIQUE_VERTICES)
     n = 2 ** (h1 + h2 + 1) - 1
     if n > MAX_BINARY_CLIQUE_VERTICES:
         raise OutOfRangeError(f"n={n} exceeds budget {MAX_BINARY_CLIQUE_VERTICES}")
@@ -108,6 +122,8 @@ def random_connected_graph(n, m, seed=0):
     """Random parent-array tree plus m-(n-1) distinct random non-tree edges."""
     if n < 1 or not n - 1 <= m <= n * (n - 1) // 2:
         raise InfeasibleDensityError(f"m={m} infeasible for n={n}")
+    if n > MAX_RANDOM_GRAPH_VERTICES:
+        raise OutOfRangeError(f"n={n} exceeds budget {MAX_RANDOM_GRAPH_VERTICES}")
     rng = random.Random(seed)
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     present = {(min(u, v), max(u, v)) for u, v in edges}

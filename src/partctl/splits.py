@@ -240,31 +240,25 @@ def tree_exact_P2(T):
 
     Any connected 2-edge-partition of a tree splits the branches at a single
     shared vertex, so the achievable sizes are exactly the proper subset sums
-    of branch edge counts, collected per vertex by bitset convolution.
+    of one vertex's branch edge counts.  One pass up the BFS order collects
+    each vertex's subset sums over its child branches by bitset convolution;
+    a non-root vertex adds its parent branch, of n - sz[v] edges, as it is
+    read.  A vertex with one branch reaches only 0 and m, masked off below.
     """
     G = T.graph
     n, m = G.n, G.m
     if m == 0:
         return set()
-    sz = _subtree_sizes(T.order, T.parent)
-    children = [[] for _ in range(n)]
-    for u in range(n):
-        if T.parent[u] >= 0:
-            children[T.parent[u]].append(u)
-    profile = set()
-    interior = (1 << (m + 1)) - 2  # bits 1..m-1 plus m; m masked off below
-    for v in range(n):
-        branches = [sz[c] for c in children[v]]
-        if v != T.root:
-            branches.append(n - sz[v])
-        if len(branches) < 2:
-            continue
-        reach = 1
-        for b in branches:
-            reach |= reach << b
-        for s in bits(reach & interior & ~(1 << m)):
-            profile.add((max(s, m - s), min(s, m - s)))
-    return profile
+    parent = T.parent
+    sz = _subtree_sizes(T.order, parent)
+    reach = [1] * n
+    sums = 0
+    for v in reversed(T.order[1:]):  # every child of v is read before v
+        r = reach[v]
+        sums |= r | r << (n - sz[v])
+        reach[parent[v]] |= reach[parent[v]] << sz[v]
+    sums |= reach[T.root]
+    return {(max(s, m - s), min(s, m - s)) for s in bits(sums & ((1 << m) - 2))}
 
 
 def tree_lower_bound_partitions(T):

@@ -10,6 +10,7 @@ from partctl import (
     bits,
     blocks,
     cmc,
+    components,
     connected_cut_bound,
     count_partitions,
     dense_core,
@@ -30,7 +31,12 @@ from partctl import (
 )
 from partctl import bounds
 from partctl.bounds import _leaf_peel
-from partctl.errors import ConstructionFailedError, PackingInfeasibleError, PartctlError
+from partctl.errors import (
+    ConstructionFailedError,
+    PackingInfeasibleError,
+    PartctlError,
+    TooSmallError,
+)
 from partctl.exact import prescribed_partition
 from partctl.graph import bfs_tree
 from partctl.splits import profile_of
@@ -66,12 +72,80 @@ def test_dense_core_path():
     assert core.vertices == mask_of(range(6))  # threshold < 1 removes nothing
 
 
+def _reference_peel(G):
+    """The multi-pass peel: sweep every vertex, lowest id first, and peel
+    those of degree < m/n until a sweep peels none; returns the survivors."""
+    n, m = G.n, G.m
+    alive = G.full_vertex_mask()
+    deg = [G.degree(v) for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for v in range(n):
+            if (alive >> v) & 1 and deg[v] * n < m:
+                alive &= ~(1 << v)
+                for u in bits(G.neighbor_masks[v] & alive):
+                    deg[u] -= 1
+                changed = True
+    return alive
+
+
+def _reference_dense_core(G):
+    """(vertex mask, min degree) of the largest component left by the
+    multi-pass peel, the lowest-id one on ties."""
+    comps = components(G, removed=G.full_vertex_mask() & ~_reference_peel(G))
+    comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
+    core = comps[0]
+    return core, min((G.neighbor_masks[v] & core).bit_count() for v in bits(core))
+
+
 def test_dense_core_k4_with_pendant():
     G = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
     core = dense_core(G)
     assert sorted(bits(core.vertices)) == [0, 1, 2, 3]
-    assert core.peel_trace == [4]
+    assert (core.vertices, core.min_degree) == _reference_dense_core(G)
     assert core.min_degree == 3
+
+
+def _seeded_core_graphs(rng, count):
+    """Random connected graphs, and as many made of one or two dense random
+    blobs with a random tree periphery, two blobs joined by a path through
+    1-3 new vertices: their cores are proper, and a peel may leave both
+    blobs as separate components."""
+    for i in range(count):
+        if i % 2 == 0:
+            n = rng.randint(2, 40)
+            yield random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), seed=i)
+            continue
+        blobs = []
+        for _ in range(rng.randint(1, 2)):
+            nb = rng.randint(5, 12)
+            blobs.append(random_connected_graph(nb, rng.randint(2 * nb, nb * (nb - 1) // 2), seed=i))
+        edges, n = [], 0
+        for blob in blobs:
+            edges += [(u + n, v + n) for u, v in blob.edges]
+            n += blob.n
+        if len(blobs) == 2:
+            end = rng.randrange(blobs[0].n)
+            for _ in range(rng.randint(1, 3)):
+                edges.append((end, n))
+                end, n = n, n + 1
+            edges.append((end, blobs[0].n + rng.randrange(blobs[1].n)))
+        extra = rng.randint(0, 30)
+        edges += [(rng.randrange(v), v) for v in range(n, n + extra)]
+        yield Graph(n + extra, edges)
+
+
+def test_dense_core_matches_multi_pass_reference():
+    rng = random.Random(31)
+    proper = split = 0
+    for G in _seeded_core_graphs(rng, 1200):
+        core = dense_core(G)
+        want = _reference_dense_core(G)
+        assert (core.vertices, core.min_degree) == want, G.edges
+        proper += want[0] != G.full_vertex_mask()
+        split += len(components(G, removed=G.full_vertex_mask() & ~_reference_peel(G))) > 1
+    assert proper >= 600 and split >= 100, (proper, split)
 
 
 def test_dense_core_guarantee_random():
@@ -505,6 +579,9 @@ def test_ordered_p5_k3():
     assert rep.succeeded == len(parts)
     for ps in parts:
         assert validate_vertex_partition(G, ps, 3)
+    assert ordered_vertex_partitions(G, 5)[1].subpath_lens == [1, 1, 1, 1]
+    with pytest.raises(TooSmallError):  # more parts than vertices
+        ordered_vertex_partitions(G, 6)
 
 
 def test_ordered_pi_bound_random():

@@ -266,6 +266,17 @@ def test_bounds_reports_frozen(tmp_path, capsys, name, argv):
     check_golden(code, out, f"binary_clique_1_2_bounds_{name}.json")
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("T_ell_2", ("--name", "T_ell", "--ell", "2")),
+    ("random_tree_200_seed7", ("--name", "random_tree", "--n", "200", "--seed", "7")),
+])
+def test_tree_p2_frozen(tmp_path, capsys, name, argv):
+    g = str(tmp_path / "tree.txt")
+    assert main(["family", *argv, "--out", g]) == 0
+    code, out, _ = run(capsys, "tree-p2", "--input", g)
+    check_golden(code, out, f"tree_p2_{name}.csv")
+
+
 @pytest.mark.parametrize("argv", [
     ("exact", "--what", "P", "--k", "0"),
     ("exact", "--what", "pi", "--k", "-1"),

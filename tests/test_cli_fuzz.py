@@ -1,11 +1,15 @@
-"""Seeded fuzz of the file-reading CLI commands.
+"""Seeded fuzz of the file-reading CLI commands, and out-of-range size
+arguments.
 
 Malformed graph files (bad headers, non-UTF-8 bytes, huge vertex counts,
 short edge lists, self-loops, out-of-range ids) and argument vectors across
 ``exact``, ``bounds``, ``splits`` and ``tree-p2`` must end with a documented
 exit code, never with a traceback, and quickly.  Huge vertex counts appear
 only in headers; a parser that allocated per vertex before rejecting them
-would take seconds on each and fail the per-case cap.
+would take seconds on each and fail the per-case cap.  The same holds for
+huge and negative ``family`` sizes and for ``bounds --method pi`` with more
+parts than vertices: each is an input error, refused before anything is
+built at its size.
 """
 
 import os
@@ -128,3 +132,40 @@ def test_directory_input_exits_3_naming_the_path(tmp_path, capsys):
         assert code == 3, argv
         assert err.startswith(f"error: {tmp_path}: cannot read"), (argv, err)
         assert "Traceback" not in err, argv
+
+
+FAMILY_SIZES = {
+    "ternary": ("--height",),
+    "T_ell": ("--ell",),
+    "binary_clique": ("--h1", "--h2"),
+    "random_tree": ("--n",),
+    "random_connected": ("--n", "--m"),
+}
+OUT_OF_RANGE = [-10 ** 12, -1, 20001, 10 ** 5, 10 ** 12, 10 ** 40]
+
+
+def test_out_of_range_family_sizes_exit_3_quickly(capsys):
+    # each flag out of range, the others at their defaults; random_connected
+    # also with n = m, which passes its density check, from just over its cap
+    cases = [(name, (flag, str(v))) for name, flags in FAMILY_SIZES.items()
+             for flag in flags for v in OUT_OF_RANGE]
+    cases += [("random_connected", ("--n", str(v), "--m", str(v)))
+              for v in [1001, 2000, *OUT_OF_RANGE]]
+    for name, sizes in cases:
+        code, err, elapsed = run_case(capsys, ["family", "--name", name, *sizes])
+        where = (name, sizes)
+        assert code == 3, where
+        assert err.startswith("error: ") and "Traceback" not in err, where
+        assert elapsed < CASE_CAP_S, where
+
+
+def test_more_parts_than_vertices_exit_3_quickly(tmp_path, capsys):
+    for i, (n, edges) in enumerate(BASES):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text("\n".join([f"{n} {len(edges)}", *(f"{u} {v}" for u, v in edges)]) + "\n")
+        for k in (n + 1, 10 ** 6):
+            argv = ["bounds", "--method", "pi", "--k", str(k), "--input", str(path)]
+            code, err, elapsed = run_case(capsys, argv)
+            assert code == 3, argv
+            assert err.startswith("error: ") and "Traceback" not in err, argv
+            assert elapsed < CASE_CAP_S, argv

@@ -13,6 +13,7 @@ from partctl import (
     random_tree,
 )
 from partctl.errors import InfeasibleDensityError, OutOfRangeError
+from partctl.families import MAX_RANDOM_GRAPH_VERTICES
 
 
 def test_complete_ternary():
@@ -43,6 +44,8 @@ def test_t_ell_budget():
         make_T_ell(13)
     with pytest.raises(OutOfRangeError):
         make_T_ell(0)
+    with pytest.raises(OutOfRangeError):  # 3**ell is never computed
+        make_T_ell(10**12)
 
 
 def test_t_ell_leaves_are_path_middles():
@@ -65,6 +68,13 @@ def test_binary_clique_counts():
         assert (G.n, G.m) == (n, m)
         assert is_connected(G)
         assert G.m == 2 ** (h1 + 1) - 2 + 2**h1 * math.comb(2 ** (h2 + 1) - 1, 2)
+
+
+def test_binary_clique_budget():
+    # h1 + h2 = 15 gives 2^16 - 1 vertices; the larger ones never compute 2**h
+    for h1, h2 in ((15, 0), (1, 10**12), (10**12, 0)):
+        with pytest.raises(OutOfRangeError):
+            make_binary_clique_graph(h1, h2)
 
 
 def test_binary_clique_h2_zero_is_binary_tree():
@@ -111,6 +121,10 @@ def test_random_connected_graph():
         random_connected_graph(5, 3, seed=0)
     with pytest.raises(InfeasibleDensityError):
         random_connected_graph(4, 7, seed=0)
+    # the cap is checked before the O(n^2) candidate-edge list is built
+    for n in (MAX_RANDOM_GRAPH_VERTICES + 1, 2000, 10**12):
+        with pytest.raises(OutOfRangeError):
+            random_connected_graph(n, n, seed=0)
 
 
 def test_random_connected_graph_rejects_no_vertices():
@@ -126,3 +140,7 @@ def test_complete_ternary_rejects_more_than_a_million_vertices():
         make_complete_ternary(13)
     with pytest.raises(OutOfRangeError):
         make_complete_ternary(25)
+    with pytest.raises(OutOfRangeError):  # n would have 4,771 digits
+        make_complete_ternary(10**4)
+    with pytest.raises(OutOfRangeError):
+        make_complete_ternary(10**12)

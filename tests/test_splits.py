@@ -12,6 +12,7 @@ from partctl import (
     bits,
     components,
     edge_partition_profile,
+    make_complete_ternary,
     make_T_ell,
     mask_of,
     nested_split_sequence,
@@ -300,6 +301,48 @@ def test_tree_exact_p2_matches_brute_force():
         n = rng.randint(2, 11)
         T = random_tree(n, seed=1000 + i)
         assert tree_exact_P2(T) == edge_partition_profile(T.graph, 2).profile
+
+
+def _reference_tree_exact_P2(T):
+    """The per-vertex form: list each vertex's branch edge counts (one per
+    child, plus the parent branch), convolve them into a subset-sum mask of
+    its own when there are at least two, and read that mask's proper sums."""
+    G = T.graph
+    n, m = G.n, G.m
+    if m == 0:
+        return set()
+    sz = [1] * n
+    for u in reversed(T.order[1:]):
+        sz[T.parent[u]] += sz[u]
+    children = [[] for _ in range(n)]
+    for u in range(n):
+        if T.parent[u] >= 0:
+            children[T.parent[u]].append(u)
+    profile = set()
+    interior = (1 << (m + 1)) - 2  # bits 1..m-1 plus m; m masked off below
+    for v in range(n):
+        branches = [sz[c] for c in children[v]]
+        if v != T.root:
+            branches.append(n - sz[v])
+        if len(branches) < 2:
+            continue
+        reach = 1
+        for b in branches:
+            reach |= reach << b
+        for s in bits(reach & interior & ~(1 << m)):
+            profile.add((max(s, m - s), min(s, m - s)))
+    return profile
+
+
+def test_tree_exact_p2_matches_per_vertex_reference():
+    rng = random.Random(41)
+    trees = [make_T_ell(ell) for ell in (1, 2, 3)]
+    trees += [make_complete_ternary(h) for h in range(5)]
+    for i in range(2000):
+        trees.append(random_tree(rng.randint(1, 80), seed=5000 + i))
+    for T in trees:
+        T = RootedTree(T.graph, rng.randrange(T.graph.n))
+        assert tree_exact_P2(T) == _reference_tree_exact_P2(T), (T.graph.edges, T.root)
 
 
 def test_tree_lower_bound_case1():
