@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import json
 import math
 import sys
@@ -59,7 +60,7 @@ def _profile_json(profile):
 
 def _witness_json(witnesses):
     return {
-        ",".join(map(str, key)): [sorted(bits(p)) for p in parts]
+        ",".join(map(str, key)): [list(bits(p)) for p in parts]
         for key, parts in sorted(witnesses.items(), reverse=True)
     }
 
@@ -85,7 +86,7 @@ def cmd_exact(args):
             "what": "cmc",
             "r": args.r,
             "value": w.cut_size,
-            "witness": {"parts": [sorted(bits(p)) for p in w.parts]},
+            "witness": {"parts": [list(bits(p)) for p in w.parts]},
         }
     _emit(payload, args.out)
     return 0
@@ -125,7 +126,7 @@ def cmd_bounds(args):
             "method": "cmc",
             "r": args.r,
             "cut_size": w.cut_size,
-            "parts": [sorted(bits(p)) for p in w.parts],
+            "parts": [list(bits(p)) for p in w.parts],
         }
     else:  # pi
         parts, rep = bounds.ordered_vertex_partitions(G, args.k)
@@ -197,7 +198,7 @@ def cmd_splits(args):
         "root": args.root,
         "length": len(seq),
         "items": [
-            {"A": sorted(bits(A)), "B": sorted(bits(B)), "v": v}
+            {"A": list(bits(A)), "B": list(bits(B)), "v": v}
             for A, B, v in seq.items
         ],
     }
@@ -429,7 +430,10 @@ def _at_least(low):
     return parse
 
 
+@functools.cache
 def build_parser():
+    """The ``partctl`` parser, built once per process and shared by every
+    ``main`` call: ``parse_args`` keeps no state between calls."""
     p = argparse.ArgumentParser(
         prog="partctl",
         description="exact connected-partition profiles and certified bounds",
@@ -495,8 +499,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UnknownSuiteError as exc:

@@ -111,6 +111,8 @@ def make_nonmonotone_example():
 
 def random_tree(n, seed=0):
     """Random labeled tree: each vertex i >= 1 picks a uniform parent < i."""
+    if n < 1:
+        raise OutOfRangeError(f"n={n} must be >= 1")
     if n > MAX_TREE_VERTICES:
         raise OutOfRangeError(f"n={n} exceeds budget {MAX_TREE_VERTICES}")
     rng = random.Random(seed)

@@ -70,11 +70,13 @@ class SplitSequence:
                 raise ConstructionFailedError(f"A or B of item {i} is not connected")
             if not (later[i] >> v) & 1:
                 raise ConstructionFailedError("earlier pivot missing from later B")
-        for (A1, B1, _), (A2, B2, _) in zip(items, items[1:]):
+        # with the checks above, a strictly shrinking A makes B strictly grow,
+        # so B needs no test: B_i = (V - A_i) | {v_i} and v_i lies in B_{i+1},
+        # so A_{i+1} <= A_i gives B_i <= B_{i+1}; and B_i = B_{i+1} would put
+        # v_{i+1} (in A_{i+1} <= A_i) in A_i & B_i = {v_i}, so A_{i+1} = A_i
+        for (A1, _, _), (A2, _, _) in zip(items, items[1:]):
             if A2 & ~A1 or A1 == A2:
                 raise ConstructionFailedError("A sets not strictly decreasing")
-            if B1 & ~B2 or B1 == B2:
-                raise ConstructionFailedError("B sets not strictly increasing")
         if len(items) < t_value(G.n) + 1:
             raise ConstructionFailedError(
                 f"length {len(items)} is below t(n) + 1 = {t_value(G.n) + 1}"

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import partctl
 from partctl import arith, make_binary_clique_graph, make_nonmonotone_example
-from partctl.cli import EXIT_CHECK, main
+from partctl.cli import EXIT_CHECK, build_parser, main
 from partctl.graph import write_graph
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -142,6 +146,41 @@ def test_exit_code_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # every main() call parses with the one parser: a flag given in one call
+    # must not become the next call's default, nor a usage error leave a trace
+    c4 = write_c4(tmp_path)
+    argv = ["exact", "--what", "P", "--k", "3", "--input", c4]
+    code, first, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(first)["k"] == 3
+    code, out, _ = run(capsys, "exact", "--what", "P", "--input", c4)
+    assert code == 0 and json.loads(out)["k"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--what", "P", "--k", "0", "--input", c4])
+    assert exc.value.code == 2 and "usage: partctl exact" in capsys.readouterr().err
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and again == first
+
+
+def test_module_run_prints_the_in_process_bytes(tmp_path, capsys):
+    g = tmp_path / "nonmonotone.txt"
+    with open(g, "w") as fh:
+        write_graph(make_nonmonotone_example()[0], fh)
+    argv = ["exact", "--what", "P", "--k", "2", "--input", str(g)]
+    code, out, _ = run(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(partctl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "partctl.cli", *argv], env=env,
+                          capture_output=True, timeout=60)
+    assert code == proc.returncode == 0
+    assert proc.stdout == out.encode()
 
 
 def test_verify_suites_pass(capsys, tmp_path):

@@ -151,11 +151,15 @@ def test_out_of_range_family_sizes_exit_3_quickly(capsys):
              for flag in flags for v in OUT_OF_RANGE]
     cases += [("random_connected", ("--n", str(v), "--m", str(v)))
               for v in [1001, 2000, *OUT_OF_RANGE]]
+    cases += [("random_tree", ("--n", str(v))) for v in (-5, 0)]
     for name, sizes in cases:
         code, err, elapsed = run_case(capsys, ["family", "--name", name, *sizes])
         where = (name, sizes)
         assert code == 3, where
         assert err.startswith("error: ") and "Traceback" not in err, where
+        # a tree with no vertex is refused by its n, not by the root it lacks
+        if name == "random_tree" and int(sizes[1]) < 1:
+            assert err == f"error: n={sizes[1]} must be >= 1\n", where
         assert elapsed < CASE_CAP_S, where
 
 

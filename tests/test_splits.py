@@ -433,7 +433,7 @@ def _swap(items, i, j):
 
 # B cannot stop growing while A shrinks and every item passes: B_i is the
 # complement of A_i plus v_i, and v_i must lie in every later B.  So a B that
-# stops growing is caught by the A test, which runs first.
+# stops growing is caught by the A test; check() has no B test.
 @pytest.mark.parametrize("corrupt, message", [
     (lambda it: _move(it, 3, 5, to_a=True), "A or B of item 3 is not connected"),
     (lambda it: _move(it, 3, 4, to_a=False), "A or B of item 3 is not connected"),
@@ -449,6 +449,40 @@ def test_check_rejects_corrupted_sequence(corrupt, message):
     with pytest.raises(ConstructionFailedError) as exc:
         SplitSequence(T, corrupt(items)).check()
     assert str(exc.value) == message
+
+
+def _b_not_growing_corruptions():
+    """The broom's tree, and every sequence made from its items by replacing
+    or inserting one (A, B, v) whose A and B meet in v and cover V, such that
+    some B does not strictly grow."""
+    T, items = _broom()
+    full = T.graph.full_vertex_mask()
+    triples = [(A, full & ~A | 1 << v, v) for A in range(1, full + 1) for v in bits(A)]
+    seqs = [items[:i] + [t] + items[i + 1:] for i in range(len(items)) for t in triples]
+    seqs += [items[:i] + [t] + items[i:] for i in range(len(items) + 1) for t in triples]
+    return T, [seq for seq in seqs
+               if any(B1 & ~B2 or B1 == B2 for (_, B1, _), (_, B2, _) in zip(seq, seq[1:]))]
+
+
+def test_check_rejects_every_b_not_growing_corruption():
+    # pytest.fail and pytest.raises, not assert: the test also runs under -O
+    T, seqs = _b_not_growing_corruptions()
+    if len(seqs) < 1000:
+        pytest.fail(f"only {len(seqs)} corruptions")
+    for seq in seqs:
+        with pytest.raises(ConstructionFailedError):
+            SplitSequence(T, seq).check()
+
+
+def test_b_not_growing_corruptions_rejected_under_python_O():
+    src = os.path.dirname(os.path.dirname(partctl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")) if p))
+    script = ("import test_splits\n"
+              "test_splits.test_check_rejects_every_b_not_growing_corruption()\n")
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def _tree_lower_bound_reference(T):
