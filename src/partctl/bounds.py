@@ -5,15 +5,18 @@ vertex-partition family.
 
 Every pipeline checks the guarantees it relies on at runtime instead of
 assuming them, and returns a machine-readable report next to its partitions.
-The path cut and the cut bound validate each partition they emit in full.
-The packing and ordered families check a certificate once per call instead:
-the trees span the core and with the leftover partition its edges, the last
-tree reaches every outside edge, and the long path's consecutive vertices are
-adjacent.  Each of their partitions then gets only an O(k) check that its
-parts are nonempty, disjoint and cover G; the ordered family also checks the
-connectivity of each remainder.  A failed check raises
-ConstructionFailedError.  The pipelines run in the input graph's own vertex
-and edge ids, on the dense core's vertex mask.
+Only the cut witness, and the ordered family's leaf-peel fallback, are
+validated in full.  The path-cut, packing and ordered families check a
+certificate once per call instead: consecutive vertices of the long path (of
+its prefix, for the path cut) are adjacent, the cut edges reach every
+component outside the path prefix, the trees span the core and with the
+leftover partition its edges, the last tree reaches every outside edge, and
+every component outside the ordered family's core touches the core.  Each of
+their partitions then gets only an O(k) check that its parts are nonempty,
+disjoint and cover G; the ordered family also checks the connectivity of each
+remainder.  A failed check raises ConstructionFailedError.  The pipelines run
+in the input graph's own vertex and edge ids, on the dense core's vertex
+mask.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from operator import or_
 
 from .arith import ascending_compositions
 from .errors import (
@@ -51,7 +55,7 @@ from .graph import (
     mask_of,
     st_numbering,
 )
-from .splits import profile_of, validate_edge_partition
+from .splits import profile_of
 
 
 @dataclass
@@ -137,6 +141,20 @@ def path_cut_partitions(G):
     reached path prefix plus the outside components already touched forms one
     part, the rest the other.  Each component of G minus the prefix joins
     part 1 with the first cut edge into it.
+
+    Certified once per call: consecutive prefix vertices are adjacent, and
+    every component of G minus the prefix is reached by a cut edge.  Let the
+    latest cut edge end at prefix[pi].  Then both parts are connected:
+
+    - e1 is E(prefix[:pi+1]), which holds the path prefix[0..pi], plus cut
+      edges whose path end lies at index <= pi, plus the edges of each
+      reached component, joined to the rest of e1 by the cut edge that
+      reached it.
+    - e2 holds the path edges from prefix[pi] to prefix[t-1], and every later
+      cut edge and every other edge of E(prefix) outside e1 touches that
+      subpath.  A component not yet reached has all its cut edges in e2.
+
+    So each emitted partition needs only the O(k) cover check.
     """
     if not is_connected(G):
         raise DisconnectedError("path-cut pipeline needs a connected graph")
@@ -145,6 +163,7 @@ def path_cut_partitions(G):
     path = long_path(G, core.vertices)
     t = max(1, (delta + 1) // 2)
     prefix = path[:t]
+    _check_path(G, prefix)
     pset = mask_of(prefix)
     pos = {v: i for i, v in enumerate(prefix)}
 
@@ -162,7 +181,7 @@ def path_cut_partitions(G):
     full = G.full_edge_mask()
     out = []
     e1 = 0
-    for idx, (pi, ei, w) in enumerate(cut, start=1):
+    for pi, ei, w in cut:
         e1 |= 1 << ei | prefix_edges[pi + 1]
         if not (reached >> w) & 1:
             comp = closure(G.neighbor_masks, w, outside)
@@ -171,9 +190,10 @@ def path_cut_partitions(G):
         e2 = full & ~e1
         if e2:
             parts = [e1, e2]
-            if not validate_edge_partition(G, parts, k=2):
-                raise ConstructionFailedError(f"path-cut partition {idx} invalid")
+            _check_cover(parts, full, "path-cut partition")
             out.append(parts)
+    if reached != outside:
+        raise ConstructionFailedError("outside component has no cut edge")
     if not out and G.m >= 2:
         # degenerate low-degree case (m_cut <= 1): split off a single
         # removable edge so at least one valid partition is emitted
@@ -189,6 +209,14 @@ def path_cut_partitions(G):
         distinct_pairs=len(pairs),
     )
     return out, report
+
+
+def _check_path(G, path):
+    """Consecutive vertices of ``path`` are adjacent, so each of its
+    subpaths is connected."""
+    for u, v in zip(path, path[1:]):
+        if not (G.neighbor_masks[u] >> v) & 1:
+            raise ConstructionFailedError(f"long path skips from {u} to {v}")
 
 
 def _single_edge_split(G):
@@ -430,28 +458,46 @@ def packing_partitions(G, k):
     return out, report
 
 
-def _outside_groups(G, assigned):
-    """The components of G - assigned, joined into one group per set of
-    neighbours in ``assigned``: a dict from that set to the group."""
-    groups = {}
+def _attach_table(G, assigned):
+    """For each vertex v of ``assigned``, the union of the components of
+    G - assigned that touch v (0 off ``assigned``).  Raises when a component
+    touches no vertex of ``assigned``, so no part could take it."""
+    table = [0] * G.n
     for c in components(G, removed=assigned):
         nb = 0
         for v in bits(c):
             nb |= G.neighbor_masks[v]
-        groups[nb & assigned] = groups.get(nb & assigned, 0) | c
-    return groups
-
-
-def _attach(groups, parts):
-    """Join each group of ``_outside_groups`` to the first part it touches."""
-    for nb, c in groups.items():
-        for j, p in enumerate(parts):
-            if nb & p:
-                parts[j] = p | c
-                break
-        else:
+        nb &= assigned
+        if not nb:
             raise ConstructionFailedError("outside component touches no part")
-    return parts
+        for v in bits(nb):
+            table[v] |= c
+    return table
+
+
+def _attach(parts, reaches, outside):
+    """Join each component of ``outside`` to the first part it touches.
+    ``reaches[j]`` is the union of the components part j touches, for every
+    part but the last: part j takes it less what earlier parts took, and the
+    last part takes the rest of ``outside``."""
+    out, taken = [], 0
+    for p, reach in zip(parts, reaches):
+        out.append(p | reach & ~taken)
+        taken |= reach
+    out.append(parts[-1] | outside & ~taken)
+    return out
+
+
+def _attach_by_table(table, parts, outside):
+    """``_attach`` with each part's reach the union of its vertices' rows of
+    ``_attach_table``."""
+    reaches = []
+    for p in parts[:-1]:
+        reach = 0
+        for v in bits(p):
+            reach |= table[v]
+        reaches.append(reach)
+    return _attach(parts, reaches, outside)
 
 
 def connected_cut_bound(G, r=2):
@@ -497,7 +543,8 @@ def connected_cut_bound(G, r=2):
             parts = _leaf_peel(G, r, H)
 
     # at r=2 the parts cover one block, not the whole core
-    parts = _attach(_outside_groups(G, sum(parts)), parts)
+    assigned = sum(parts)
+    parts = _attach_by_table(_attach_table(G, assigned), parts, G.full_vertex_mask() & ~assigned)
     if not validate_vertex_partition(G, parts, k=r):
         raise ConstructionFailedError("cut witness failed validation")
     return CutWitness(parts, cut_size(G, parts))
@@ -555,11 +602,14 @@ def ordered_vertex_partitions(G, k):
     components attached to the first part they touch.
 
     Certified once per call: consecutive path vertices are adjacent, so every
-    subpath prefix is connected.  Each outside component is a component of
-    G - core joined to a part it touches, so each emitted partition needs only
-    the O(k) cover check.  When no tuple of prefixes leaves a connected
-    remainder, a core with at least k vertices still yields one partition:
-    the leaf peel of the core, validated in full."""
+    subpath prefix is connected, and every component of G - core touches the
+    core, so ``_attach_table`` joins it to a part it touches.  Each emitted
+    partition then needs only the O(k) cover check.  Each subpath prefix
+    carries the union of its vertices' table rows, so a tried tuple costs
+    O(k) mask operations and one connectivity check of the remainder.  When
+    no tuple of prefixes leaves a connected remainder, a core with at least k
+    vertices still yields one partition: the leaf peel of the core, validated
+    in full."""
     if k < 2:
         raise TooSmallError("k must be >= 2")
     if G.n < k:
@@ -569,15 +619,14 @@ def ordered_vertex_partitions(G, k):
     core = dense_core(G)
     hmask = core.vertices
     path = long_path(G, hmask)
-    for u, v in zip(path, path[1:]):
-        if not (G.neighbor_masks[u] >> v) & 1:
-            raise ConstructionFailedError(f"long path skips from {u} to {v}")
+    _check_path(G, path)
 
     report = OrderedPartitionReport(
         core_size=core.size, delta_core=core.min_degree, path_len=len(path)
     )
     full = G.full_vertex_mask()
-    outside = _outside_groups(G, hmask)
+    outside = full & ~hmask
+    table = _attach_table(G, hmask)
 
     # the last path vertex is reserved for the final part, so every prefix
     # choice leaves it nonempty; a path of fewer than k vertices leaves a
@@ -588,15 +637,19 @@ def ordered_vertex_partitions(G, k):
                 for i in range(k - 1)]
     report.subpath_lens = [len(p) for p in subpaths]
 
-    prefixes = [[mask_of(sp[:a]) for a in range(1, len(sp) + 1)] for sp in subpaths]
+    # per subpath, each prefix's vertex mask and the outside vertices it reaches
+    prefixes = [list(zip(itertools.accumulate((1 << v for v in sp), or_),
+                         itertools.accumulate((table[v] for v in sp), or_)))
+                for sp in subpaths]
     out = []
     seen_vecs = set()
     for xs in itertools.product(*prefixes):
         report.attempted += 1
-        xk = hmask & ~sum(xs)
+        masks, reaches = zip(*xs)
+        xk = hmask & ~sum(masks)
         if xk == 0 or not is_connected_vertex_set(G, xk):
             continue
-        parts = _attach(outside, [*xs, xk])
+        parts = _attach([*masks, xk], reaches, outside)
         _check_cover(parts, full, "ordered partition")
         vec = tuple(p.bit_count() for p in parts)
         if vec in seen_vecs:
@@ -604,7 +657,7 @@ def ordered_vertex_partitions(G, k):
         seen_vecs.add(vec)
         out.append(parts)
     if not out and core.size >= k:
-        parts = _attach(outside, _leaf_peel(G, k, hmask))
+        parts = _attach_by_table(table, _leaf_peel(G, k, hmask), outside)
         if not validate_vertex_partition(G, parts, k=k):
             raise ConstructionFailedError("leaf-peel partition failed validation")
         out.append(parts)

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -505,6 +508,40 @@ def test_ordered_certificate_rejects_unattached_outside_component(monkeypatch):
         ordered_vertex_partitions(k5_plus_edge(), 3)
 
 
+def test_path_cut_certificate_rejects_a_non_path(monkeypatch):
+    # K4,4 has minimum degree 4, so the prefix is the path's first two
+    # vertices; sorted, those are 0 and 1, on the same side
+    G = Graph(8, [(i, j) for i in range(4) for j in range(4, 8)])
+    real = bounds.long_path
+    monkeypatch.setattr(bounds, "long_path", lambda G, mask: sorted(real(G, mask)))
+    with pytest.raises(ConstructionFailedError, match="long path skips from 0 to 1"):
+        path_cut_partitions(G)
+
+
+def test_path_cut_certificate_rejects_an_unreached_outside_component(monkeypatch):
+    monkeypatch.setattr(bounds, "is_connected", lambda G: True)
+    with pytest.raises(ConstructionFailedError, match="outside component has no cut edge"):
+        path_cut_partitions(k5_plus_edge())
+
+
+def test_path_cut_and_ordered_certificates_hold_under_python_O():
+    # assert statements vanish under -O; the certificate checks must not
+    src = os.path.dirname(os.path.dirname(bounds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")) if p))
+    script = ("import pytest, test_bounds as t\n"
+              "assert False, 'asserts are live'\n"
+              "for test in (t.test_path_cut_certificate_rejects_a_non_path,\n"
+              "             t.test_path_cut_certificate_rejects_an_unreached_outside_component,\n"
+              "             t.test_ordered_certificate_rejects_a_non_path,\n"
+              "             t.test_ordered_certificate_rejects_unattached_outside_component):\n"
+              "    with pytest.MonkeyPatch.context() as mp:\n"
+              "        test(mp)\n")
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+
+
 # ------------------------------------------------------------- cut bounds
 
 
@@ -861,6 +898,80 @@ def test_path_cut_matches_attach_table_reference():
         pset = mask_of(long_path(G, dense_core(G).vertices)[: rep.prefix_len])
         several += len(bounds.components(G, removed=pset)) > 1
     assert several >= 8, several
+
+
+def _outside_groups_reference(G, assigned):
+    """The components of G - assigned, joined into one group per set of
+    neighbours in ``assigned``: a dict from that set to the group."""
+    groups = {}
+    for c in components(G, removed=assigned):
+        nb = 0
+        for v in bits(c):
+            nb |= G.neighbor_masks[v]
+        groups[nb & assigned] = groups.get(nb & assigned, 0) | c
+    return groups
+
+
+def _attach_reference(groups, parts):
+    """Join each group of ``_outside_groups_reference`` to the first part it
+    touches, by a scan of the parts per group."""
+    for nb, c in groups.items():
+        for j, p in enumerate(parts):
+            if nb & p:
+                parts[j] = p | c
+                break
+        else:
+            raise ConstructionFailedError("outside component touches no part")
+    return parts
+
+
+def _small_connected_graphs():
+    """Every labelled connected graph on 1 to 5 vertices: 772 graphs."""
+    out = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((0, 1), repeat=len(pairs)):
+            G = Graph(n, [e for e, c in zip(pairs, chosen) if c])
+            if bounds.is_connected(G):
+                out.append(G)
+    return out
+
+
+def test_path_cut_ordered_and_cut_bound_validate_in_full_and_attach_by_groups(monkeypatch):
+    # the path cut and the ordered family check a certificate once per call,
+    # and the ordered family and the cut bound attach outside components by
+    # a per-vertex table; every output must still pass the full validators,
+    # and each part must hold the outside groups the first-touch scan gives it
+    small = _small_connected_graphs()
+    assert len(small) == 772
+    assigned = []
+    real_table = bounds._attach_table
+    monkeypatch.setattr(bounds, "_attach_table", lambda G, a: assigned.append(a) or real_table(G, a))
+
+    def attached_by_groups(G, partitions):
+        a = assigned[-1]
+        groups = _outside_groups_reference(G, a)
+        return all(_attach_reference(groups, [p & a for p in parts]) == parts for parts in partitions)
+
+    seen = {"path cut": 0, "ordered": 0, "cut bound": 0, "ordered outside": 0, "cut bound outside": 0}
+    for G in small + REFERENCE_GRAPHS:
+        for parts in path_cut_partitions(G)[0]:
+            assert validate_edge_partition(G, parts, 2), G.edges
+            seen["path cut"] += 1
+        for k in range(2, min(4, G.n) + 1):
+            got = ordered_vertex_partitions(G, k)[0]
+            assert attached_by_groups(G, got), (G.edges, k)
+            for parts in got:
+                assert validate_vertex_partition(G, parts, k), (G.edges, k)
+            seen["ordered"] += len(got)
+            seen["ordered outside"] += assigned[-1] != G.full_vertex_mask()
+        for r in range(2, min(3, G.n) + 1):
+            parts = connected_cut_bound(G, r).parts
+            assert attached_by_groups(G, [parts]), (G.edges, r)
+            assert validate_vertex_partition(G, parts, r), (G.edges, r)
+            seen["cut bound"] += 1
+            seen["cut bound outside"] += assigned[-1] != G.full_vertex_mask()
+    assert min(seen.values()) >= 200, seen
 
 
 def test_greedy_regions_match_deque_reference():
