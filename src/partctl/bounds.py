@@ -52,8 +52,9 @@ from .graph import (
     is_connected,
     is_connected_edge_set,
     is_connected_vertex_set,
+    is_partition,
     mask_of,
-    st_numbering,
+    st_split,
 )
 from .splits import profile_of
 
@@ -195,8 +196,7 @@ def path_cut_partitions(G):
     if reached != outside:
         raise ConstructionFailedError("outside component has no cut edge")
     if not out and G.m >= 2:
-        # degenerate low-degree case (m_cut <= 1): split off a single
-        # removable edge so at least one valid partition is emitted
+        # only one cut edge leaves e2 empty, and only a one-vertex prefix of degree 1 has one
         out.append(_single_edge_split(G))
     pairs = {profile_of(ps) for ps in out}
     report = PathCutReport(
@@ -220,17 +220,13 @@ def _check_path(G, path):
 
 
 def _single_edge_split(G):
-    """[{e}, E - e] for a pendant edge, or any edge whose removal keeps the
-    remaining edge set connected."""
+    """[{e}, E - e] for the lowest-id pendant edge e."""
     full = G.full_edge_mask()
     for ei, (u, v) in enumerate(G.edges):
         if G.degree(u) == 1 or G.degree(v) == 1:
             return [1 << ei, full & ~(1 << ei)]
-    for ei in range(G.m):
-        rest = full & ~(1 << ei)
-        if is_connected_edge_set(G, rest):
-            return [1 << ei, rest]
-    raise ConstructionFailedError("no removable edge found")
+    # the path cut falls back only when G has a pendant edge
+    raise ConstructionFailedError("no pendant edge found")
 
 
 @dataclass
@@ -395,13 +391,8 @@ def _check_packing(packing):
 def _check_cover(parts, full, what):
     """The per-partition share of a certified family's check: nonempty,
     pairwise disjoint parts whose union is ``full``."""
-    union = 0
-    for p in parts:
-        if not p or union & p:
-            raise ConstructionFailedError(f"{what} has an empty or overlapping part")
-        union |= p
-    if union != full:
-        raise ConstructionFailedError(f"{what} does not cover the graph")
+    if not is_partition(parts, full):
+        raise ConstructionFailedError(f"{what} is not a partition of the graph")
 
 
 @dataclass
@@ -520,18 +511,13 @@ def connected_cut_bound(G, r=2):
         blks = blocks(G, H)
         blks.sort(key=lambda bm: (-bm.bit_count(), (bm & -bm).bit_length()))
         bmask = blks[0]
-        s = max(1, min((delta + 1) // 2, bmask.bit_count() - 1))
-        lo, hi = (bmask & -bmask).bit_length() - 1, bmask.bit_length() - 1
-        order = st_numbering(G, lo, hi, bmask)
-        a = mask_of(order[:s])
-        parts = [a, bmask & ~a]
+        parts = st_split(G, bmask, max(1, min((delta + 1) // 2, bmask.bit_count() - 1)))
     elif n_core < r:
         # G has at least r vertices (checked above), though its core has not
         parts = _leaf_peel(G, r, G.full_vertex_mask())
     else:
+        # (r - 1) s < n_core, as r <= n_core and (r - 1) s < delta / 2 < n_core
         s = max(1, delta // (2 * r))
-        while (r - 1) * s >= n_core:
-            s -= 1
         sizes = [s] * (r - 1) + [n_core - (r - 1) * s]
         # under the budget the search is exact, so greedy growth, whose parts
         # have these sizes too, could find nothing it missed

@@ -511,10 +511,7 @@ def main(argv=None):
     except ConstructionFailedError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PartctlError as exc:
+    except (OSError, PartctlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

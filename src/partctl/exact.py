@@ -128,7 +128,8 @@ from .graph import (
     is_biconnected,
     is_connected,
     is_connected_vertex_set,
-    st_numbering,
+    is_partition,
+    st_split,
 )
 from .splits import profile_of, recursive_k_partitions
 
@@ -377,32 +378,25 @@ def cmc(G, r=2, max_vertices=None):
 
 
 def validate_vertex_partition(G, parts, k=None):
+    """True iff ``parts`` (k of them if k is given) partition V(G) into connected sets."""
     if k is not None and len(parts) != k:
         return False
-    union = 0
-    for p in parts:
-        if p == 0 or (union & p) or not is_connected_vertex_set(G, p):
-            return False
-        union |= p
-    return union == G.full_vertex_mask()
+    return (is_partition(parts, G.full_vertex_mask())
+            and all(is_connected_vertex_set(G, p) for p in parts))
 
 
 def gyori_lovasz(G, sizes):
     """A connected vertex partition with the given part sizes, or None.
 
     For k=2 on a 2-connected graph the st-numbering prefix construction
-    always succeeds; otherwise an exhaustive search runs
-    (n <= PRESCRIBED_VERTEX_BUDGET).
+    (``st_split``, as in the r=2 cut bound) always succeeds; otherwise an
+    exhaustive search runs (n <= PRESCRIBED_VERTEX_BUDGET).
     """
     sizes = list(sizes)
     if sum(sizes) != G.n or any(s < 1 for s in sizes):
         raise SizeMismatchError(f"sizes {sizes} do not sum to n={G.n}")
     if len(sizes) == 2 and is_biconnected(G):
-        order = st_numbering(G, 0, G.n - 1, G.full_vertex_mask())
-        a = 0
-        for v in order[: sizes[0]]:
-            a |= 1 << v
-        return [a, G.full_vertex_mask() & ~a]
+        return st_split(G, G.full_vertex_mask(), sizes[0])
     if G.n > PRESCRIBED_VERTEX_BUDGET:
         raise TooLargeError(f"n={G.n} exceeds search budget {PRESCRIBED_VERTEX_BUDGET}")
     return prescribed_partition(G, sizes, G.full_vertex_mask())

@@ -241,6 +241,17 @@ def closure(adj, start, mask):
     return seen
 
 
+def is_partition(parts, full):
+    """True iff ``parts`` are nonempty, pairwise disjoint bitmasks whose
+    union is ``full``: the cover half of every vertex and edge partition."""
+    union = 0
+    for p in parts:
+        if not p or union & p:
+            return False
+        union |= p
+    return union == full
+
+
 def is_connected_vertex_set(G, S):
     """True iff the subgraph induced by vertex bitmask S is connected."""
     if S == 0:
@@ -410,6 +421,15 @@ def st_numbering(G, s, t, mask):
         if v != t and all(pos[u] < pos[v] for u in bits(nbrs)):
             raise NotBiconnectedError("st-numbering failed validation")
     return order
+
+
+def st_split(G, mask, s):
+    """[A, mask - A] for A the first s vertices of the st-numbering of the
+    2-connected vertex bitmask ``mask`` from its lowest to its highest
+    vertex; both parts are connected for 1 <= s < |mask|."""
+    order = st_numbering(G, (mask & -mask).bit_length() - 1, mask.bit_length() - 1, mask)
+    a = mask_of(order[:s])
+    return [a, mask & ~a]
 
 
 def write_graph(G, fh):

@@ -19,6 +19,7 @@ from .graph import (
     induced_edge_sets,
     is_connected,
     is_connected_edge_set,
+    is_partition,
     mask_components,
 )
 
@@ -118,18 +119,11 @@ def _split_items(tree, mask, v):
 
 
 def validate_edge_partition(G, parts, k=None):
-    """True iff parts are nonempty, disjoint, cover E(G), and each is a
-    connected edge set."""
+    """True iff ``parts`` (k of them if k is given) partition E(G) into connected sets."""
     if k is not None and len(parts) != k:
         return False
-    union = 0
-    for p in parts:
-        if p == 0 or (union & p):
-            return False
-        union |= p
-        if not is_connected_edge_set(G, p):
-            return False
-    return union == G.full_edge_mask()
+    return (is_partition(parts, G.full_edge_mask())
+            and all(is_connected_edge_set(G, p) for p in parts))
 
 
 def profile_of(parts):
@@ -217,11 +211,9 @@ def _centroid_chunk(tree, mask, v):
     n = mask.bit_count()
     comps = mask_components(tree, mask & ~(1 << v))
     comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
-    if len(comps) == 1:
-        sel = comps[0]
-    elif len(comps) == 2:
+    if len(comps) == 2:
         sel = comps[1]  # the smaller one
-    elif 3 * comps[0].bit_count() >= n:
+    elif 3 * comps[0].bit_count() >= n:  # one component holds n - 1 >= n/3 too
         sel = comps[0]
     else:
         sel, s = 0, 0

@@ -524,6 +524,58 @@ def test_path_cut_certificate_rejects_an_unreached_outside_component(monkeypatch
         path_cut_partitions(k5_plus_edge())
 
 
+def test_single_edge_split_needs_a_pendant_edge():
+    with pytest.raises(ConstructionFailedError, match="no pendant edge"):
+        bounds._single_edge_split(cycle(5))
+
+
+def test_path_cut_falls_back_to_the_lowest_pendant_edge(monkeypatch):
+    # the fallback scans pendant edges only: wherever it runs, G has one
+    calls = []
+    real = bounds._single_edge_split
+    monkeypatch.setattr(bounds, "_single_edge_split", lambda G: calls.append(G) or real(G))
+    corpus = _small_connected_graphs() + [random_tree(n, seed=s).graph
+                                          for s, n in enumerate(range(2, 40))]
+    for G in corpus:
+        before = len(calls)
+        parts, _ = path_cut_partitions(G)
+        if len(calls) > before:
+            e = min(ei for ei, (u, v) in enumerate(G.edges)
+                    if min(G.neighbor_masks[u].bit_count(), G.neighbor_masks[v].bit_count()) == 1)
+            assert parts == [[1 << e, G.full_edge_mask() & ~(1 << e)]], G.edges
+    assert len(calls) >= 100, len(calls)
+
+
+P4 = path(4)  # edges 0 = (0, 1), 1 = (1, 2), 2 = (2, 3)
+# name -> (vertex parts, edge parts) of P4 that are not a partition
+NOT_PARTITIONS = {
+    "empty part": ([0, 0b1111], [0, 0b111]),
+    "overlapping parts": ([0b0111, 0b1110], [0b011, 0b110]),
+    "missing element": ([0b0011, 0b0100], [0b001, 0b100]),
+    "bit at n or m": ([0b1111, 1 << 4], [0b111, 1 << 3]),
+    "bit past n or m": ([0b1111, 1 << 7], [0b111, 1 << 7]),
+}
+
+
+@pytest.mark.parametrize("vparts, eparts", NOT_PARTITIONS.values(), ids=NOT_PARTITIONS)
+def test_validators_and_cover_check_reject_a_non_partition(vparts, eparts):
+    assert not validate_vertex_partition(P4, vparts, 2)
+    assert not validate_edge_partition(P4, eparts, 2)
+    for parts, full in ((vparts, P4.full_vertex_mask()), (eparts, P4.full_edge_mask())):
+        with pytest.raises(ConstructionFailedError, match="not a partition"):
+            bounds._check_cover(parts, full, "test partition")
+
+
+def test_validators_reject_a_wrong_k_and_a_disconnected_part():
+    assert validate_vertex_partition(P4, [0b0011, 0b1100], 2)
+    assert validate_edge_partition(P4, [0b011, 0b100], 2)
+    assert not validate_vertex_partition(P4, [0b0011, 0b1100], 3)
+    assert not validate_edge_partition(P4, [0b011, 0b100], 3)
+    assert not validate_vertex_partition(P4, [0b0101, 0b1010])
+    assert not validate_edge_partition(P4, [0b101, 0b010])
+    assert not validate_edge_partition(path(3), [0b11, 1 << 7])
+
+
 def test_path_cut_and_ordered_certificates_hold_under_python_O():
     # assert statements vanish under -O; the certificate checks must not
     src = os.path.dirname(os.path.dirname(bounds.__file__))
@@ -536,7 +588,8 @@ def test_path_cut_and_ordered_certificates_hold_under_python_O():
               "             t.test_ordered_certificate_rejects_a_non_path,\n"
               "             t.test_ordered_certificate_rejects_unattached_outside_component):\n"
               "    with pytest.MonkeyPatch.context() as mp:\n"
-              "        test(mp)\n")
+              "        test(mp)\n"
+              "t.test_single_edge_split_needs_a_pendant_edge()\n")
     res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import partctl
-from partctl import arith, make_binary_clique_graph, make_nonmonotone_example
-from partctl.cli import EXIT_CHECK, build_parser, main
-from partctl.graph import write_graph
+from partctl import arith, families, make_binary_clique_graph, make_nonmonotone_example
+from partctl.cli import EXIT_CHECK, SUITES, build_parser, main
+from partctl.graph import read_graph, write_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,6 +61,31 @@ def test_family_roundtrip_identical(tmp_path, capsys):
             "--n", "8", "--m", "12", "--seed", "5", "--out", f)
     with open(a) as fa, open(b) as fb:
         assert fa.read() == fb.read()
+
+
+# each family at the parser's defaults, built by the library
+FAMILY_DEFAULTS = {
+    "T_ell": lambda: families.make_T_ell(1).graph,
+    "ternary": lambda: families.make_complete_ternary(2).graph,
+    "binary_clique": lambda: families.make_binary_clique_graph(1, 1),
+    "nonmonotone_example": lambda: families.make_nonmonotone_example()[0],
+    "random_tree": lambda: families.random_tree(10, seed=0).graph,
+    "random_connected": lambda: families.random_connected_graph(10, 15, seed=0),
+}
+
+
+def test_family_defaults_name_every_family():
+    family = next(a for a in build_parser()._actions if a.dest == "command").choices["family"]
+    assert next(a for a in family._actions if a.dest == "name").choices == list(FAMILY_DEFAULTS)
+
+
+@pytest.mark.parametrize("name", FAMILY_DEFAULTS)
+def test_family_writes_the_library_graph(tmp_path, capsys, name):
+    g = tmp_path / "g.txt"
+    code, out, _ = run(capsys, "family", "--name", name)
+    assert code == 0 and main(["family", "--name", name, "--out", str(g)]) == 0
+    assert g.read_text() == out
+    assert read_graph(io.StringIO(out)) == FAMILY_DEFAULTS[name]()
 
 
 def test_tseq_csv(capsys):
@@ -184,7 +210,7 @@ def test_module_run_prints_the_in_process_bytes(tmp_path, capsys):
 
 
 def test_verify_suites_pass(capsys, tmp_path):
-    for suite in ("erdos-lehner", "trees"):
+    for suite in SUITES:
         out_file = str(tmp_path / f"{suite}.json")
         code, out, _ = run(capsys, "verify", "--suite", suite,
                            "--out", out_file)
