@@ -5,8 +5,7 @@ A set of edges is connected exactly when it is a connected set of vertices of
 the line graph L(G), so ``P(G, k) = pi(L(G), k)``: both profiles come from one
 enumerator, ``_connected_partitions``, run over an adjacency tuple (per-element
 neighbor bitmasks).  P runs it over ``G.edge_adjacency()``, pi over
-``G.neighbor_masks``; the unpruned reference scan
-``iter_connected_vertex_partitions`` runs it over the neighbor masks too.
+``G.neighbor_masks``; with no ``first_missing`` it is the unpruned scan.
 
 The enumerator grows each connected part by its boundary and forbids every
 element it has rejected, so each connected set is visited exactly once.  Part
@@ -70,9 +69,13 @@ has.  The edge search at k=2 is seeded before it starts with the
 paper's split family, ``recursive_k_partitions(G, 2)``: the split sequence of
 the BFS spanning tree at root 0.  On ladders and twin cliques it witnesses the
 balanced keys that the enumeration would reach only in its last branch, so
-the skip fires early.  The profile stays exact: every seed is a connected
-partition, so it adds only true keys.  Seeds change which partition
-witnesses a seeded key, so k >= 3 is not seeded and keeps its witnesses.
+the skip fires early.  The keys it misses are seeded by the cuts of two BFS
+orders of L(G), from edge 0 and then from the last edge of the first (a
+double sweep).  A BFS prefix is connected, as each later edge was found from
+an earlier one that shares an endpoint with it; one closure checks the
+suffix, run only for a cut whose key no seed has yet.  The profile stays
+exact: every seed is a connected partition, so it adds only true keys.  Seeds
+change which partition witnesses a seeded key, so k >= 3 is not seeded.
 
 A prescribed-size query, ``prescribed_partition``, is the same search over a
 vertex mask with one wanted key, the sorted sizes.  Its ``first_missing``
@@ -105,10 +108,9 @@ by ``|N(v) & S| - 1``, and closing S leaves it unchanged.
 The incumbent is replaced only by a strictly larger cut.  A pruned subtree
 holds no cut above the incumbent, so it holds nothing that would replace it,
 and pruning at equality is as exact as pruning below.  The witness is the
-first maximum in the order of ``iter_connected_vertex_partitions``, as for an
-exhaustive scan: until that partition is reached the incumbent is below the
-maximum, so the subtrees on its path, whose bounds are at least the maximum,
-are never pruned.
+first maximum in the order of the unpruned scan, as for an exhaustive scan:
+until that partition is reached the incumbent is below the maximum, so the
+subtrees on its path, whose bounds are at least the maximum, are never pruned.
 """
 
 from __future__ import annotations
@@ -118,14 +120,15 @@ from dataclasses import dataclass, field
 from .arith import ascending_compositions
 from .errors import (
     DisconnectedError,
+    NotBiconnectedError,
     SizeMismatchError,
     TooLargeError,
     TooSmallError,
 )
 from .graph import (
+    bfs_tree,
     closure,
     induced_edge_sets,
-    is_biconnected,
     is_connected,
     is_connected_vertex_set,
     is_partition,
@@ -294,8 +297,26 @@ def edge_partition_profile(G, k, max_edges=None):
               if max_edges is None else max_edges)
     if G.m > budget:
         raise TooLargeError(f"m={G.m} exceeds budget {budget} for k={k}")
-    seeds = recursive_k_partitions(G, 2) if k == 2 and G.m >= 2 else ()
+    seeds = _k2_edge_seeds(G) if k == 2 and G.m >= 2 else ()
     return _profile(G.edge_adjacency(), G.m, k, seeds)
+
+
+def _k2_edge_seeds(G):
+    """The split family plus the line-graph BFS cuts it lacks (module docstring)."""
+    adj, full, m = G.edge_adjacency(), G.full_edge_mask(), G.m
+    seeds = recursive_k_partitions(G, 2)
+    keys = {profile_of(parts) for parts in seeds}
+    order = [0]  # the first order starts at edge 0, the second where it ends
+    for _ in range(2):
+        order = bfs_tree(adj, order[-1], full)[0]
+        rest = full
+        for i, e in enumerate(order[:-1], 1):
+            rest ^= 1 << e
+            key = (max(i, m - i), min(i, m - i))
+            if key not in keys and closure(adj, order[-1], rest) == rest:
+                keys.add(key)
+                seeds.append([full ^ rest, rest])
+    return seeds
 
 
 def vertex_partition_profile(G, k, max_vertices=None):
@@ -309,14 +330,6 @@ def vertex_partition_profile(G, k, max_vertices=None):
     if G.n > budget:
         raise TooLargeError(f"n={G.n} exceeds budget {budget} for k={k}")
     return _profile(G.neighbor_masks, G.n, k, ())
-
-
-def iter_connected_vertex_partitions(G, r):
-    """Every connected vertex partition into r >= 2 parts exactly once, in
-    enumeration order and without pruning: the reference scan for ``cmc``."""
-    out = []
-    _connected_partitions(G.neighbor_masks, G.full_vertex_mask(), r, out.append)
-    return out
 
 
 def cmc(G, r=2, max_vertices=None):
@@ -395,8 +408,11 @@ def gyori_lovasz(G, sizes):
     sizes = list(sizes)
     if sum(sizes) != G.n or any(s < 1 for s in sizes):
         raise SizeMismatchError(f"sizes {sizes} do not sum to n={G.n}")
-    if len(sizes) == 2 and is_biconnected(G):
-        return st_split(G, G.full_vertex_mask(), sizes[0])
+    if len(sizes) == 2:
+        try:  # st_split checks 2-connectivity itself
+            return st_split(G, G.full_vertex_mask(), sizes[0])
+        except NotBiconnectedError:
+            pass
     if G.n > PRESCRIBED_VERTEX_BUDGET:
         raise TooLargeError(f"n={G.n} exceeds search budget {PRESCRIBED_VERTEX_BUDGET}")
     return prescribed_partition(G, sizes, G.full_vertex_mask())
@@ -410,8 +426,7 @@ def prescribed_partition(G, sizes, mask):
     """A partition of the vertex bitmask ``mask`` into connected parts of the
     given sizes (each >= 1, summing to its size), listed in the order of
     ``sizes``, or None.  The partition is the first with these sizes in the
-    order of ``iter_connected_vertex_partitions``: the profile search with
-    this one key wanted."""
+    order of the unpruned scan: the profile search with this one key wanted."""
     k = len(sizes)
     if k == 1:
         return [mask] if is_connected_vertex_set(G, mask) else None

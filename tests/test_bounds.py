@@ -1,9 +1,6 @@
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 from collections import deque
 
 import pytest
@@ -574,25 +571,6 @@ def test_validators_reject_a_wrong_k_and_a_disconnected_part():
     assert not validate_vertex_partition(P4, [0b0101, 0b1010])
     assert not validate_edge_partition(P4, [0b101, 0b010])
     assert not validate_edge_partition(path(3), [0b11, 1 << 7])
-
-
-def test_path_cut_and_ordered_certificates_hold_under_python_O():
-    # assert statements vanish under -O; the certificate checks must not
-    src = os.path.dirname(os.path.dirname(bounds.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")) if p))
-    script = ("import pytest, test_bounds as t\n"
-              "assert False, 'asserts are live'\n"
-              "for test in (t.test_path_cut_certificate_rejects_a_non_path,\n"
-              "             t.test_path_cut_certificate_rejects_an_unreached_outside_component,\n"
-              "             t.test_ordered_certificate_rejects_a_non_path,\n"
-              "             t.test_ordered_certificate_rejects_unattached_outside_component):\n"
-              "    with pytest.MonkeyPatch.context() as mp:\n"
-              "        test(mp)\n"
-              "t.test_single_edge_split_needs_a_pendant_edge()\n")
-    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
 
 
 # ------------------------------------------------------------- cut bounds

@@ -12,14 +12,17 @@ from partctl import (
     is_biconnected,
     make_nonmonotone_example,
     mask_of,
+    profile_of,
     random_connected_graph,
     random_tree,
+    recursive_k_partitions,
+    validate_edge_partition,
     validate_vertex_partition,
     vertex_partition_profile,
 )
 from partctl import exact
 from partctl.errors import DisconnectedError, SizeMismatchError, TooLargeError
-from partctl.exact import ProfileResult, cut_size, iter_connected_vertex_partitions
+from partctl.exact import ProfileResult, cut_size
 
 
 def path(n):
@@ -146,6 +149,51 @@ def test_skip_bounds_the_search_nodes_visited(monkeypatch):
         assert len(nodes) <= most, (G.m, k, len(nodes))
 
 
+def twin_cliques(size, path):
+    """Root 0 joined by a path of ``path`` edges to a vertex of each of two K_size."""
+    edges, n = [], 1
+    for _ in range(2):
+        chain = [0, *range(n, n + path + size - 1)]
+        n = chain[-1] + 1
+        edges += zip(chain, chain[1:path + 1])
+        edges += itertools.combinations(chain[path:], 2)
+    return Graph(n, edges)
+
+
+def k2_seed_corpus():
+    rng = random.Random(41)
+    for i in range(50):
+        n = rng.randint(3, 12)
+        yield random_connected_graph(n, rng.randint(n - 1, min(22, n * (n - 1) // 2)), seed=i)
+        yield random_connected_graph(n, n - 1 + rng.randint(0, min(3, (n - 1) * (n - 2) // 2)),
+                                     seed=100 + i)
+        yield random_tree(n, seed=200 + i).graph
+    for size, path in ((4, 1), (5, 1), (5, 3), (6, 1)):
+        yield twin_cliques(size, path)
+    for chords in (0, 2, 8, 16):
+        yield binary_tree_with_chords(5, chords)
+
+
+def test_k2_edge_seeds_are_connected_partitions_past_the_split_family():
+    # the line-graph BFS cuts add only true keys, so the seeded profile is the
+    # unseeded one; they must also witness keys the split family misses
+    extra = 0
+    for G in k2_seed_corpus():
+        seeds = exact._k2_edge_seeds(G)
+        for parts in seeds:
+            assert validate_edge_partition(G, parts, 2), (G.edges, parts)
+        split = recursive_k_partitions(G, 2)
+        assert seeds[:len(split)] == split, G.edges
+        # each cut seeded holds a key no earlier seed has
+        split_keys = {profile_of(parts) for parts in split}
+        cut_keys = {profile_of(parts) for parts in seeds[len(split):]}
+        assert len(cut_keys) == len(seeds) - len(split) and not cut_keys & split_keys, G.edges
+        extra += len(cut_keys)
+        unseeded = exact._profile(G.edge_adjacency(), G.m, 2, ()).profile
+        assert edge_partition_profile(G, 2, max_edges=G.m).profile == unseeded, G.edges
+    assert extra >= 100, extra
+
+
 def test_vertex_profile_path():
     assert vertex_partition_profile(path(4), 2).profile == {(3, 1), (2, 2)}
     assert vertex_partition_profile(path(4), 3).profile == {(2, 1, 1)}
@@ -161,7 +209,9 @@ def test_vertex_profile_complete_is_partition_count():
 def test_iter_partitions_unique_and_complete():
     G = cycle(5)
     seen = set()
-    for parts in iter_connected_vertex_partitions(G, 2):
+    scan = []  # the unpruned scan: the enumerator with no first_missing
+    exact._connected_partitions(G.neighbor_masks, G.full_vertex_mask(), 2, scan.append)
+    for parts in scan:
         key = tuple(sorted(parts))
         assert key not in seen
         seen.add(key)

@@ -4,8 +4,8 @@ The oracle assigns every element to one of k parts in every possible way and
 keeps the assignments whose parts are all nonempty and connected.  It shares
 no code with the solvers, so it checks the search, its prunes and the k=2
 split seeding from outside.  The ``cmc`` branch-and-bound is also checked
-against the unpruned enumerator ``iter_connected_vertex_partitions``, whose
-first maximum fixes the witness as well as the cut.  The edge profile is
+against the unpruned scan ``scan_partitions``, whose first maximum fixes the
+witness as well as the cut.  The edge profile is
 checked against the vertex profile of the line graph, and the bitmask
 connectivity primitives against a set-based BFS.
 """
@@ -28,7 +28,8 @@ from partctl import (
     validate_vertex_partition,
     vertex_partition_profile,
 )
-from partctl.exact import iter_connected_vertex_partitions, prescribed_partition
+from partctl import exact
+from partctl.exact import prescribed_partition
 from partctl.graph import bits, closure
 
 
@@ -54,6 +55,14 @@ def brute_partitions(adj, k):
             parts[j].append(x)
         if all(parts) and all(_connected(adj, p) for p in parts):
             yield parts
+
+
+def scan_partitions(G, r):
+    """Every connected vertex partition into r >= 2 parts exactly once, in
+    enumeration order: the search with no ``first_missing``, so unpruned."""
+    out = []
+    exact._connected_partitions(G.neighbor_masks, G.full_vertex_mask(), r, out.append)
+    return out
 
 
 def vertex_adj(G):
@@ -146,7 +155,7 @@ def test_cmc_matches_first_maximum_of_enumeration():
         for r in (2, 3, 4):
             if r > G.n:
                 continue
-            first = max(iter_connected_vertex_partitions(G, r), key=lambda ps: cut_size(G, ps))
+            first = max(scan_partitions(G, r), key=lambda ps: cut_size(G, ps))
             w = cmc(G, r)
             assert (w.cut_size, w.parts) == (cut_size(G, first), first), (G.edges, r)
 
@@ -209,7 +218,7 @@ def test_prescribed_partition_is_the_first_occurrence():
             if k > G.n:
                 continue
             first = {}
-            for parts in iter_connected_vertex_partitions(G, k):
+            for parts in scan_partitions(G, k):
                 first.setdefault(key_of(parts), parts)
             # near-equal sizes, which sparse graphs often cannot meet, and
             # random compositions of n
@@ -250,7 +259,7 @@ def test_witnesses_are_first_occurrences_of_the_unpruned_scan():
             pi, P = vertex_partition_profile(G, k), edge_partition_profile(G, k)
             for H, res in ((G, pi), (L, P)):
                 first = {}
-                for parts in iter_connected_vertex_partitions(H, k) if k <= H.n else ():
+                for parts in scan_partitions(H, k) if k <= H.n else ():
                     first.setdefault(key_of(parts), parts)
                 assert res.profile == first.keys(), (G.edges, H is L, k)
                 if H is G or k > 2:
@@ -311,7 +320,7 @@ def test_unreachable_seed_keeps_the_leaves_and_their_order():
     for G in itertools.chain(sparse_graphs(24, 30, 11), graphs(25, 30, 11, 16)):
         for r in (3, 4):
             if r <= G.n:
-                assert iter_connected_vertex_partitions(G, r) == unseeded_partitions(G, r), (
+                assert scan_partitions(G, r) == unseeded_partitions(G, r), (
                     G.edges, r)
 
 

@@ -1,11 +1,7 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import partctl
 from partctl import (
     Graph,
     RootedTree,
@@ -378,29 +374,6 @@ def test_tree_lower_bound_subset_of_exact():
     assert {profile_of(p) for p in out} <= exact
 
 
-def test_check_rejects_truncated_sequence_under_python_O():
-    # assert statements vanish under -O; the invariant checks must not
-    script = (
-        "from partctl import nested_split_sequence, random_tree\n"
-        "from partctl.errors import ConstructionFailedError\n"
-        "assert False, 'asserts are live'\n"
-        "seq = nested_split_sequence(random_tree(12, seed=1))\n"
-        "seq.check()\n"
-        "seq.items = seq.items[:2]\n"
-        "try:\n"
-        "    seq.check()\n"
-        "except ConstructionFailedError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
-    )
-    src = os.path.dirname(os.path.dirname(partctl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-
-
 def _broom():
     """Path 0-1-2-3-4 with leaf 5 on vertex 1, rooted at 0; its split sequence
     is the six items below, and t(6) + 1 = 5."""
@@ -472,17 +445,6 @@ def test_check_rejects_every_b_not_growing_corruption():
     for seq in seqs:
         with pytest.raises(ConstructionFailedError):
             SplitSequence(T, seq).check()
-
-
-def test_b_not_growing_corruptions_rejected_under_python_O():
-    src = os.path.dirname(os.path.dirname(partctl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")) if p))
-    script = ("import test_splits\n"
-              "test_splits.test_check_rejects_every_b_not_growing_corruption()\n")
-    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
 
 
 def _tree_lower_bound_reference(T):
