@@ -573,6 +573,10 @@ def test_validators_reject_a_wrong_k_and_a_disconnected_part():
     assert not validate_edge_partition(path(3), [0b11, 1 << 7])
 
 
+def test_path_cut_and_ordered_certificates_hold_under_python_O(python_O_check):
+    python_O_check("certificates")
+
+
 # ------------------------------------------------------------- cut bounds
 
 

@@ -374,6 +374,10 @@ def test_tree_lower_bound_subset_of_exact():
     assert {profile_of(p) for p in out} <= exact
 
 
+def test_check_rejects_truncated_sequence_under_python_O(python_O_check):
+    python_O_check("truncated_sequence")
+
+
 def _broom():
     """Path 0-1-2-3-4 with leaf 5 on vertex 1, rooted at 0; its split sequence
     is the six items below, and t(6) + 1 = 5."""
@@ -445,6 +449,10 @@ def test_check_rejects_every_b_not_growing_corruption():
     for seq in seqs:
         with pytest.raises(ConstructionFailedError):
             SplitSequence(T, seq).check()
+
+
+def test_b_not_growing_corruptions_rejected_under_python_O(python_O_check):
+    python_O_check("test_check_rejects_every_b_not_growing_corruption")
 
 
 def _tree_lower_bound_reference(T):
