@@ -585,7 +585,8 @@ def ordered_vertex_partitions(G, k):
     """Connected k-vertex-partitions with pairwise distinct ordered size
     vectors: prefixes of k-1 subpaths of a long core path, remainder of the
     core as the last part (connectivity verified directly), outside
-    components attached to the first part they touch.
+    components attached to the first part they touch.  Distinct tuples give
+    distinct vectors: where two first differ, the longer prefix's part is larger.
 
     Certified once per call: consecutive path vertices are adjacent, so every
     subpath prefix is connected, and every component of G - core touches the
@@ -628,19 +629,14 @@ def ordered_vertex_partitions(G, k):
                          itertools.accumulate((table[v] for v in sp), or_)))
                 for sp in subpaths]
     out = []
-    seen_vecs = set()
     for xs in itertools.product(*prefixes):
         report.attempted += 1
         masks, reaches = zip(*xs)
         xk = hmask & ~sum(masks)
-        if xk == 0 or not is_connected_vertex_set(G, xk):
+        if not is_connected_vertex_set(G, xk):
             continue
         parts = _attach([*masks, xk], reaches, outside)
         _check_cover(parts, full, "ordered partition")
-        vec = tuple(p.bit_count() for p in parts)
-        if vec in seen_vecs:
-            continue
-        seen_vecs.add(vec)
         out.append(parts)
     if not out and core.size >= k:
         parts = _attach_by_table(table, _leaf_peel(G, k, hmask), outside)

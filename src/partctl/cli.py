@@ -22,13 +22,11 @@ from .errors import (
     ParseError,
     PartctlError,
     TooLargeError,
-    UnknownSuiteError,
 )
 from .graph import bits, read_graph, write_graph, RootedTree
 
 SCHEMA = "partctl/1"
 
-EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 EXIT_CHECK = 5
@@ -140,29 +138,30 @@ def cmd_bounds(args):
     return 0
 
 
+def _nonmonotone_example(args):
+    G, (u, v) = families.make_nonmonotone_example()
+    return G, f"distinguished_edge={u},{v}"
+
+
+# each --name: its graph and the rest of its "# <name> ..." line, from the args
+FAMILIES = {
+    "T_ell": lambda a: (families.make_T_ell(a.ell).graph, f"ell={a.ell}"),
+    "ternary": lambda a: (families.make_complete_ternary(a.height).graph, f"height={a.height}"),
+    "binary_clique": lambda a: (families.make_binary_clique_graph(a.h1, a.h2),
+                                f"h1={a.h1} h2={a.h2}"),
+    "nonmonotone_example": _nonmonotone_example,
+    "random_tree": lambda a: (families.random_tree(a.n, seed=a.seed).graph,
+                              f"n={a.n} seed={a.seed}"),
+    "random_connected": lambda a: (families.random_connected_graph(a.n, a.m, seed=a.seed),
+                                   f"n={a.n} m={a.m} seed={a.seed}"),
+}
+
+
 def cmd_family(args):
-    name = args.name
-    if name == "T_ell":
-        G = families.make_T_ell(args.ell).graph
-        note = f"T_ell ell={args.ell}"
-    elif name == "ternary":
-        G = families.make_complete_ternary(args.height).graph
-        note = f"ternary height={args.height}"
-    elif name == "binary_clique":
-        G = families.make_binary_clique_graph(args.h1, args.h2)
-        note = f"binary_clique h1={args.h1} h2={args.h2}"
-    elif name == "nonmonotone_example":
-        G, (u, v) = families.make_nonmonotone_example()
-        note = f"nonmonotone_example distinguished_edge={u},{v}"
-    elif name == "random_tree":
-        G = families.random_tree(args.n, seed=args.seed).graph
-        note = f"random_tree n={args.n} seed={args.seed}"
-    else:  # random_connected
-        G = families.random_connected_graph(args.n, args.m, seed=args.seed)
-        note = f"random_connected n={args.n} m={args.m} seed={args.seed}"
+    G, rest = FAMILIES[args.name](args)
 
     def dump(fh):
-        fh.write(f"# {note}\n")
+        fh.write(f"# {args.name} {rest}\n")
         write_graph(G, fh)
 
     if args.out:
@@ -378,10 +377,6 @@ SUITES = {
 
 
 def cmd_verify(args):
-    if args.suite not in SUITES:
-        raise UnknownSuiteError(
-            f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}"
-        )
     start = time.perf_counter()
     records = SUITES[args.suite](seed=args.seed)
     elapsed = time.perf_counter() - start
@@ -460,10 +455,7 @@ def build_parser():
     q.set_defaults(func=cmd_bounds)
 
     q = sub.add_parser("family", help="write a named family graph")
-    q.add_argument("--name", required=True,
-                   choices=["T_ell", "ternary", "binary_clique",
-                            "nonmonotone_example", "random_tree",
-                            "random_connected"])
+    q.add_argument("--name", required=True, choices=list(FAMILIES))
     q.add_argument("--ell", type=int, default=1)
     q.add_argument("--height", type=int, default=2)
     q.add_argument("--h1", type=int, default=1)
@@ -490,7 +482,7 @@ def build_parser():
     q.set_defaults(func=cmd_tree_p2)
 
     q = sub.add_parser("verify", help="run a verification suite")
-    q.add_argument("--suite", required=True)
+    q.add_argument("--suite", required=True, choices=list(SUITES))
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", default=None, help="write the JSON report here")
     q.set_defaults(func=cmd_verify)
@@ -502,9 +494,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnknownSuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

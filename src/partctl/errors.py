@@ -69,7 +69,3 @@ class ConstructionFailedError(PartctlError):
 
 class ParseError(PartctlError):
     pass
-
-
-class UnknownSuiteError(PartctlError):
-    pass

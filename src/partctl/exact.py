@@ -138,8 +138,7 @@ from .splits import profile_of, recursive_k_partitions
 
 DEFAULT_EDGE_BUDGET = {2: 40, 3: 20, 4: 16}
 DEFAULT_VERTEX_BUDGET = {2: 24, 3: 18, 4: 14}
-FALLBACK_EDGE_BUDGET = 12
-FALLBACK_VERTEX_BUDGET = 12
+FALLBACK_BUDGET = 12  # edges or vertices, for a k or r missing from its table
 PRESCRIBED_VERTEX_BUDGET = 16  # prescribed-size searches run up to this n
 
 
@@ -293,7 +292,7 @@ def edge_partition_profile(G, k, max_edges=None):
         raise DisconnectedError("edge partition profile needs a connected graph")
     if k == 1 and G.m:
         return _profile(None, G.m, 1, [[G.full_edge_mask()]])
-    budget = (DEFAULT_EDGE_BUDGET.get(k, FALLBACK_EDGE_BUDGET)
+    budget = (DEFAULT_EDGE_BUDGET.get(k, FALLBACK_BUDGET)
               if max_edges is None else max_edges)
     if G.m > budget:
         raise TooLargeError(f"m={G.m} exceeds budget {budget} for k={k}")
@@ -325,7 +324,7 @@ def vertex_partition_profile(G, k, max_vertices=None):
         raise DisconnectedError("vertex partition profile needs a connected graph")
     if k == 1:
         return _profile(None, G.n, 1, [[G.full_vertex_mask()]])
-    budget = (DEFAULT_VERTEX_BUDGET.get(k, FALLBACK_VERTEX_BUDGET)
+    budget = (DEFAULT_VERTEX_BUDGET.get(k, FALLBACK_BUDGET)
               if max_vertices is None else max_vertices)
     if G.n > budget:
         raise TooLargeError(f"n={G.n} exceeds budget {budget} for k={k}")
@@ -340,7 +339,7 @@ def cmc(G, r=2, max_vertices=None):
         raise DisconnectedError("cmc needs a connected graph")
     if r == 1:
         return CutWitness([G.full_vertex_mask()], 0)
-    budget = (DEFAULT_VERTEX_BUDGET.get(r, FALLBACK_VERTEX_BUDGET)
+    budget = (DEFAULT_VERTEX_BUDGET.get(r, FALLBACK_BUDGET)
               if max_vertices is None else max_vertices)
     if G.n > budget:
         raise TooLargeError(f"n={G.n} exceeds budget {budget} for r={r}")

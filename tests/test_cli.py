@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import partctl
-from partctl import arith, families, make_binary_clique_graph, make_nonmonotone_example
+from partctl import Graph, arith, bounds, families, make_binary_clique_graph, make_nonmonotone_example
 from partctl.cli import EXIT_CHECK, SUITES, build_parser, main
 from partctl.graph import read_graph, write_graph
 
@@ -167,11 +167,26 @@ def test_exit_code_budget(tmp_path, capsys):
 
 
 def test_exit_code_usage(capsys):
-    code, _, _ = run(capsys, "verify", "--suite", "nope")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and all(name in err for name in SUITES)
     with pytest.raises(SystemExit) as exc:
         main(["exact"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_exit_code_internal_check(monkeypatch, tmp_path, capsys):
+    # K4,4's path prefix is its first two vertices; sorted, 0 and 1 are not adjacent
+    g = tmp_path / "k44.txt"
+    with g.open("w") as fh:
+        write_graph(Graph(8, [(i, j) for i in range(4) for j in range(4, 8)]), fh)
+    real = bounds.long_path
+    monkeypatch.setattr(bounds, "long_path", lambda G, mask: sorted(real(G, mask)))
+    code, out, err = run(capsys, "bounds", "--method", "pathcut", "--input", str(g))
+    assert code == 5 and out == ""
+    assert err.startswith("error: internal check failed: long path skips from 0 to 1")
 
 
 def test_parser_is_built_once():

@@ -5,6 +5,7 @@ import pytest
 
 from partctl import (
     Graph,
+    RootedTree,
     cmc,
     count_partitions,
     edge_partition_profile,
@@ -20,7 +21,7 @@ from partctl import (
     validate_vertex_partition,
     vertex_partition_profile,
 )
-from partctl import exact
+from partctl import bounds, exact
 from partctl.errors import DisconnectedError, SizeMismatchError, TooLargeError
 from partctl.exact import ProfileResult, cut_size
 
@@ -89,16 +90,38 @@ def test_profile_fewer_edges_than_k():
     assert edge_partition_profile(path(2), 2).value == 0
 
 
+TWO_EDGES = Graph(4, [(0, 1), (2, 3)])  # two components
+
+
 def test_budget_errors():
     K10 = complete(10)
     with pytest.raises(TooLargeError):
         edge_partition_profile(K10, 2)  # m=45 over the default budget
     assert edge_partition_profile(K10, 2, max_edges=45).value == 22
     with pytest.raises(DisconnectedError):
-        edge_partition_profile(Graph(4, [(0, 1), (2, 3)]), 2)
+        edge_partition_profile(TWO_EDGES, 2)
     for solve in (edge_partition_profile, vertex_partition_profile, cmc):
         with pytest.raises(TooLargeError):
             solve(path(4), 2, 0)  # a zero budget is a budget, not the default
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: vertex_partition_profile(TWO_EDGES, 2), "vertex partition profile", id="pi"),
+    pytest.param(lambda: cmc(TWO_EDGES, 2), "cmc", id="cmc"),
+    pytest.param(lambda: recursive_k_partitions(TWO_EDGES, 2), "graph is disconnected", id="recursive"),
+    pytest.param(lambda: bounds.path_cut_partitions(TWO_EDGES), "path-cut", id="pathcut"),
+    pytest.param(lambda: bounds.spanning_tree_packing(TWO_EDGES, 2, TWO_EDGES.full_vertex_mask()),
+                 "packing needs", id="tree-packing"),
+    pytest.param(lambda: bounds.packing_partitions(TWO_EDGES, 2), "packing pipeline", id="packing"),
+    pytest.param(lambda: bounds.connected_cut_bound(TWO_EDGES, 2), "cut bound", id="cut-bound"),
+    pytest.param(lambda: bounds.ordered_vertex_partitions(TWO_EDGES, 2), "ordered", id="ordered"),
+    # n - 1 edges, so only the BFS finds that they do not span
+    pytest.param(lambda: RootedTree(Graph(4, [(0, 1), (1, 2), (0, 2)]), 0),
+                 "not a tree: disconnected", id="rooted-tree"),
+])
+def test_disconnected_graph_is_refused(build, message):
+    with pytest.raises(DisconnectedError, match=message):
+        build()
 
 
 def test_skip_bounds_the_leaves_visited(monkeypatch):
