@@ -6,7 +6,8 @@ t is defined by t(1)=0, t(2)=1, t(3)=2 and, for n >= 4,
 t(n) = min over d >= 1 of d + t(ceil((n-1)/d)).  Only d in {1,2,3} can attain
 the minimum once n >= 4 (any d >= 4 is dominated by a composition of two
 smaller divisors; the tests re-check this by full-range minimization), and
-``t_runs`` derives t's O(log n) runs of equal values from that d <= 3 form.
+``t_runs`` derives t's O(log n) runs of equal values from the recurrence
+hi_h = max over d <= 3 of d*hi_{h-d} + 1 of their last values.
 """
 
 from __future__ import annotations
@@ -18,36 +19,19 @@ from .errors import OutOfRangeError
 
 def t_runs(capacity):
     """The runs (t, lo, hi) of t on 1..capacity, in order: t(n) = t for
-    lo <= n <= hi, and neighbours with equal t are merged.
+    lo <= n <= hi, and t climbs by one from each run to the next.
 
-    c_d(n) = d + t((n-2)//d + 1), for d = 2, 3, is constant while (n-2)//d + 1
-    stays in one known run (lo, hi): up to n = d*hi + 1.  From a to the nearer
-    of those breakpoints M = min(c_2, c_3) is constant, and the d = 1 term
-    1 + t(n-1) gives t(n) = min(t(a-1) + n - a + 1, M).
+    hi_h, the last n with t(n) = h, is 1, 2, 3 for h = 0, 1, 2, and then:
+    t never decreases, so t(m) <= h exactly when m <= hi_h;
+    so, for n >= 4, d + t(ceil((n-1)/d)) <= h exactly when n <= d*hi_{h-d} + 1;
+    so hi_h = max over d <= 3 of d*hi_{h-d} + 1 (hi_{h-1} + 1 keeps each run
+    nonempty), and each value gets exactly one run, with no merging step.
     """
-    if capacity < 1:
-        return []
-    vals, his = [0], [1]  # run i holds t = vals[i] up to n = his[i]
-    i2 = i3 = 0  # the runs holding (a-2)//2 + 1 and (a-2)//3 + 1
-    a = 2
-    while a <= capacity:
-        while his[i2] < (a - 2) // 2 + 1:
-            i2 += 1
-        while his[i3] < (a - 2) // 3 + 1:
-            i3 += 1
-        b = min(2 * his[i2] + 1, 3 * his[i3] + 1, capacity)
-        m = min(2 + vals[i2], 3 + vals[i3])
-        v = vals[-1]
-        while a <= b:
-            v = min(v + 1, m)
-            hi = b if v == m else a
-            if v == vals[-1]:
-                his[-1] = hi
-            else:
-                vals.append(v)
-                his.append(hi)
-            a = hi + 1
-    return [(v, hi0 + 1, hi) for v, hi0, hi in zip(vals, [0] + his, his)]
+    his = [0, 1, 2, 3]  # his[h + 1] = hi_h, after the empty run before t = 0
+    while his[-1] < capacity:
+        his.append(max(d * his[-d] + 1 for d in (1, 2, 3)))
+    return [(h, his[h] + 1, min(his[h + 1], capacity))
+            for h in range(len(his) - 1) if his[h] < capacity]
 
 
 def build_t_table(capacity):
@@ -108,15 +92,13 @@ def count_partitions(n, k):
     DP."""
     if k < 1 or n < k:
         return 0
-    # p[j] = partitions of the current n into exactly j positive parts
-    p = [[0] * (k + 1) for _ in range(n + 1)]
-    p[0][0] = 1
-    for nn in range(1, n + 1):
-        for j in range(1, k + 1):
-            p[nn][j] = p[nn - 1][j - 1]
-            if nn >= j:
-                p[nn][j] += p[nn - j][j]
-    return p[n][k]
+    # taking one from each of the k parts leaves a partition of n - k into
+    # parts of size at most k
+    ways = [1] + [0] * (n - k)
+    for part in range(1, k + 1):
+        for s in range(part, n - k + 1):
+            ways[s] += ways[s - part]
+    return ways[n - k]
 
 
 def ascending_compositions(total, k):

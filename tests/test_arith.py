@@ -64,7 +64,7 @@ def test_table_matches_element_loop():
 
 
 def test_runs_tile_and_merge():
-    for c in [*range(3001), 10**6]:
+    for c in [*range(3001), 10**6, 10**80]:
         runs = t_runs(c)
         ends = [0] + [hi for _, _, hi in runs]
         assert [lo for _, lo, _ in runs] == [e + 1 for e in ends[:-1]], c
@@ -89,7 +89,7 @@ def test_preimage_intervals():
 
 
 def test_closed_form_matches_table():
-    runs = t_runs(10**5)[:-1]  # the last run may be cut short
+    runs = t_runs(10**80)[:-1]  # the last run may be cut short; 502 runs remain
     for h in range(8, len(runs)):
         assert runs[h] == (h, *t_preimage_closed_form(h))
     with pytest.raises(OutOfRangeError):

@@ -1,7 +1,7 @@
 """Every module of ``src/partctl`` uses each name it imports, and each name it
-defines at top level is read somewhere in ``src/``, ``tests/`` or
-``perfbench/``.  The package's ``__init__.py`` is left out: its imports are
-the public API."""
+defines at top level, and each method and property of its classes, is read
+somewhere in ``src/``, ``tests/`` or ``perfbench/``.  The package's
+``__init__.py`` is left out: its imports are the public API."""
 
 import ast
 from pathlib import Path
@@ -47,11 +47,26 @@ def top_level_names(source):
     return out
 
 
+def member_names(source):
+    """(line, "Class.name") for each method and property, dunders left out,
+    of the classes ``source`` defines at top level."""
+    return [(f.lineno, f"{c.name}.{f.name}")
+            for c in ast.parse(source).body if isinstance(c, ast.ClassDef)
+            for f in c.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
+
+
 def names_read(source):
     """Every name ``source`` reads, bare or as an attribute."""
     return {node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(ast.parse(source))
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def unread(source, reads):
+    """(line, name) for each top-level name and class member of ``source``
+    whose name is not in ``reads``."""
+    return [(line, name) for line, name in top_level_names(source) + member_names(source)
+            if name.rpartition(".")[2] not in reads]
 
 
 def test_top_level_names_and_reads():
@@ -60,13 +75,25 @@ def test_top_level_names_and_reads():
     assert names_read(source) == {"X", "int", "g", "h"}
 
 
+def test_member_names_skip_dunders():
+    source = ("class C:\n    def __init__(self): pass\n"
+              "    @property\n    def p(self): pass\n    def f(self): pass\n")
+    assert member_names(source) == [(4, "C.p"), (5, "C.f")]
+
+
 @pytest.fixture(scope="module")
 def read_anywhere():
     return set().union(*(names_read(p.read_text())
                          for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")))
 
 
+def test_an_unread_method_fails_the_check(read_anywhere):
+    source = (SRC / "graph.py").read_text().replace(
+        "    def degree(self",
+        "    def scratch_unread(self):\n        return 0\n\n    def degree(self", 1)
+    assert [name for _, name in unread(source, read_anywhere)] == ["Graph.scratch_unread"]
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_module_defines_no_unread_name(module, read_anywhere):
-    names = top_level_names((SRC / module).read_text())
-    assert [(line, name) for line, name in names if name not in read_anywhere] == []
+    assert unread((SRC / module).read_text(), read_anywhere) == []
