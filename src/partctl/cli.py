@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import bisect
 import functools
-import json
 import math
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import arith, bounds, exact, families, splits
 from .errors import (
@@ -32,9 +33,36 @@ EXIT_BUDGET = 4
 EXIT_CHECK = 5
 
 
+def _to_json(x, pad="\n"):
+    """The bytes json writes for ``x`` with ``indent=2``, for str-keyed dicts,
+    lists, tuples, str, bool, None, int and float; anything else is a
+    TypeError.  With any indent CPython's json runs its pure-Python encoder, a
+    generator per container; here a list of plain ints is joined in one step."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):  # json's rule: repr, or its names for nan and inf
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    if not isinstance(x, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(x, dict):  # encode_basestring_ascii refuses a key that is not a str
+        items = [encode_basestring_ascii(k) + ": " + _to_json(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if {*map(type, x)} == {int}:
+        return "[" + inner + ("," + inner).join(map(int.__repr__, x)) + pad + "]"
+    return "[" + inner + ("," + inner).join([_to_json(v, inner) for v in x]) + pad + "]"
+
+
 def _emit(payload, out=None):
-    payload = {"schema": SCHEMA, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=False)
+    text = _to_json({"schema": SCHEMA, **payload})
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -176,14 +204,11 @@ def cmd_tseq(args):
     runs = arith.t_runs(args.max)
     if args.intervals:
         # the last run is dropped: --max may cut it short
-        print("h,lo,hi")
-        for h, (_, lo, hi) in enumerate(runs[:-1]):
-            print(f"{h},{lo},{hi}")
+        lines = (f"{h},{lo},{hi}\n" for h, (_, lo, hi) in enumerate(runs[:-1]))
+        sys.stdout.writelines(chain(["h,lo,hi\n"], lines))
     else:
-        print("n,t")
-        for v, lo, hi in runs:
-            for n in range(lo, hi + 1):
-                print(f"{n},{v}")
+        lines = (f"{n},{v}\n" for v, lo, hi in runs for n in range(lo, hi + 1))
+        sys.stdout.writelines(chain(["n,t\n"], lines))
     return 0
 
 
@@ -208,9 +233,8 @@ def cmd_splits(args):
 def cmd_tree_p2(args):
     G = _load_graph(args.input)
     profile = splits.tree_exact_P2(RootedTree(G, 0))
-    print("larger,smaller")
-    for a, b in sorted(profile, reverse=True):
-        print(f"{a},{b}")
+    lines = (f"{a},{b}\n" for a, b in sorted(profile, reverse=True))
+    sys.stdout.writelines(chain(["larger,smaller\n"], lines))
     return 0
 
 

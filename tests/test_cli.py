@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import partctl
-from partctl import Graph, arith, bounds, families, make_binary_clique_graph, make_nonmonotone_example
-from partctl.cli import EXIT_CHECK, SUITES, build_parser, main
+from partctl import Graph, arith, bounds, cli, families, make_binary_clique_graph, make_nonmonotone_example
+from partctl.cli import EXIT_CHECK, SUITES, build_parser, main, _to_json
 from partctl.graph import read_graph, write_graph
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -344,6 +344,106 @@ def test_bounds_reports_frozen(tmp_path, capsys, name, argv):
         write_graph(make_binary_clique_graph(1, 2), fh)
     code, out, _ = run(capsys, "bounds", *argv, "--input", str(g))
     check_golden(code, out, f"binary_clique_1_2_bounds_{name}.json")
+
+
+BINARY_CLIQUE_1_1 = ("--name", "binary_clique", "--h1", "1", "--h2", "1")
+BINARY_CLIQUE_1_2 = ("--name", "binary_clique", "--h1", "1", "--h2", "2")
+T_ELL_1 = ("--name", "T_ell", "--ell", "1")
+
+
+def family_file(tmp_path, family):
+    g = str(tmp_path / "g.txt")
+    assert main(["family", *family, "--out", g]) == 0
+    return g
+
+
+# binary_clique(1,1) has 7 vertices, within both exact budgets, where the
+# nonmonotone fixture's 31 are not
+@pytest.mark.parametrize("name, family, argv", [
+    ("binary_clique_1_1_exact_pi_k3", BINARY_CLIQUE_1_1, ("exact", "--what", "pi", "--k", "3")),
+    ("binary_clique_1_1_exact_cmc_r3", BINARY_CLIQUE_1_1, ("exact", "--what", "cmc", "--r", "3")),
+    ("binary_clique_1_1_bounds_packing_k5", BINARY_CLIQUE_1_1,
+     ("bounds", "--method", "packing", "--k", "5")),
+    ("splits_T_ell_1_root0", T_ELL_1, ("splits", "--root", "0")),
+])
+def test_json_commands_frozen(tmp_path, capsys, name, family, argv):
+    code, out, _ = run(capsys, *argv, "--input", family_file(tmp_path, family))
+    check_golden(code, out, f"{name}.json")
+
+
+def check_same_as_json(x):
+    # pytest.fail, not assert, so that the -O run pins the format as well
+    if _to_json(x) != json.dumps(x, indent=2):
+        pytest.fail(f"_to_json differs from json.dumps(indent=2) on {x!r:.200}")
+
+
+def record_payloads(monkeypatch):
+    """The payloads ``cli._emit`` is given from now on; each is still written."""
+    payloads = []
+    emit = cli._emit
+
+    def record(payload, out=None):
+        payloads.append({"schema": cli.SCHEMA, **payload})
+        emit(payload, out)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    return payloads
+
+
+@pytest.mark.parametrize("family, argv", [
+    (BINARY_CLIQUE_1_1, ("exact", "--what", "P", "--k", "2")),
+    (BINARY_CLIQUE_1_1, ("exact", "--what", "pi", "--k", "3")),
+    (BINARY_CLIQUE_1_1, ("exact", "--what", "cmc", "--r", "3")),
+    (BINARY_CLIQUE_1_2, ("bounds", "--method", "pathcut")),
+    (BINARY_CLIQUE_1_2, ("bounds", "--method", "packing", "--k", "2")),
+    (BINARY_CLIQUE_1_1, ("bounds", "--method", "packing", "--k", "5")),
+    (BINARY_CLIQUE_1_2, ("bounds", "--method", "cmc", "--r", "3")),
+    (BINARY_CLIQUE_1_2, ("bounds", "--method", "pi", "--k", "3")),
+    (T_ELL_1, ("splits", "--root", "0")),
+], ids=lambda v: "-".join(v).replace("--", ""))
+def test_writer_matches_json_on_command_payloads(tmp_path, capsys, monkeypatch, family, argv):
+    g = family_file(tmp_path, family)
+    payloads = record_payloads(monkeypatch)
+    code, out, _ = run(capsys, *argv, "--input", g)
+    assert code == 0 and len(payloads) == 1
+    check_same_as_json(payloads[0])
+    assert out == _to_json(payloads[0]) + "\n"
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_writer_matches_json_on_verify_reports(tmp_path, capsys, monkeypatch, suite):
+    payloads = record_payloads(monkeypatch)
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--suite", suite, "--out", str(report))
+    assert code == 0 and len(payloads) == 1
+    assert isinstance(payloads[0]["elapsed"], float)
+    check_same_as_json(payloads[0])
+    assert report.read_text() == _to_json(payloads[0]) + "\n"
+
+
+@pytest.mark.parametrize("x", [
+    "plain", "quote \" backslash \\ slash /", "\x00\x01\x1f\x7f\b\f\n\r\t",
+    "caf\u00e9 \u2603 \U0001f600 \ud800", "",
+    {"k\"\\\n\u00e9\u2603": "v", "": 0, "a": {"b": {"c": []}}},
+    [], {}, [[]], [{}], [[], {}, [[[]]], {"e": {}}], {"e": [], "f": {}},
+    (), (1, 2), [(1, (2, 3)), ()], {"t": (4, "x", None)},
+    -1, 0, -(10**99), 10**99, [10**100, -(10**100), 0],
+    0.1, -0.0, 1e300, -1e-300, 5e-324, 1.0, float("nan"), float("inf"), -float("inf"),
+    [0.1, -0.0, float("nan"), float("inf"), -float("inf"), 2],
+    True, False, None, [True, 1, False, 0, None], {"b": True, "i": 1, "n": None},
+    [1, "1", 1.0, [1], {"1": 1}],
+])
+def test_writer_matches_json_on_values(x):
+    check_same_as_json(x)
+
+
+@pytest.mark.parametrize("x", [{1, 2}, object(), {1: "int key"}, {("t",): 0}, [1, {"s": {2}}]],
+                         ids=["set", "object", "int-key", "tuple-key", "nested-set"])
+def test_writer_refuses_other_types(x):
+    # json.dumps turns an int key into a str; no payload has one, so the
+    # writer takes str keys only
+    with pytest.raises(TypeError):
+        _to_json(x)
 
 
 @pytest.mark.parametrize("name, argv", [
