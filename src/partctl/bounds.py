@@ -250,6 +250,13 @@ def spanning_tree_packing(G, k, mask):
     forest i are queued.  An edge for which no swap chain exists stays in the
     leftover.
 
+    Each swap chain adds exactly one edge to the forests, so the loop stops
+    once they hold k * (|mask| - 1) edges, and every later edge of E(mask)
+    stays in the leftover.  Stopping changes nothing: each forest then has
+    |mask| - 1 edges inside G[mask], a basis of that graphic matroid, so
+    ``forest_path`` finds a path for every edge, no chain can exist and no
+    forest would change.  An infeasible packing never reaches the count.
+
     Cycle queries read rooted forests: each forest gets, per vertex, its
     parent, parent edge, depth and tree root, built on the first query that
     needs it and dropped only when an augmentation inserts into or removes
@@ -315,7 +322,10 @@ def spanning_tree_packing(G, k, mask):
         rooted[i] = None
 
     edges = G.edge_set_of_vertices(mask)
+    placed = 0  # tree edges in the forests
     for e in bits(edges):
+        if placed == k * need:
+            break  # every forest spans G[mask]: the rest is leftover
         prevE = {e: None}
         q = deque([e])
         found = None
@@ -345,6 +355,7 @@ def spanning_tree_packing(G, k, mask):
             if g is None:
                 break
             f, i = g, j
+        placed += 1
 
     trees = [0] * k
     for eid, o in enumerate(owner):
@@ -539,11 +550,19 @@ def connected_cut_bound(G, r=2):
 def _greedy_regions(G, sizes, mask):
     """BFS region growing in the vertex bitmask ``mask``: each part is the
     first s vertices of the BFS order from the lowest remaining vertex, the
-    last part is the remainder (validated for connectivity)."""
+    last part is the remainder (validated for connectivity).  Each BFS visits
+    neighbors by ascending id and stops once it has s vertices."""
     remaining = mask
     parts = []
     for s in sizes[:-1]:
-        order, _, _ = bfs_tree(G.neighbor_masks, (remaining & -remaining).bit_length() - 1, remaining)
+        order = [(remaining & -remaining).bit_length() - 1]
+        seen = 1 << order[0]
+        for v in order:
+            if len(order) >= s:
+                break
+            new = G.neighbor_masks[v] & remaining & ~seen
+            seen |= new
+            order.extend(bits(new))
         if len(order) < s:
             return None
         S = mask_of(order[:s])

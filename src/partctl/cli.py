@@ -329,6 +329,16 @@ def verify_inequalities(seed=0):
             records, "pathcut<=exactP2", emitted <= p2.profile,
             lhs=sorted(emitted - p2.profile), rhs=None, spec=spec,
         )
+        try:
+            pk, _ = bounds.packing_partitions(G, 2)
+        except PackingInfeasibleError:
+            pass
+        else:
+            emitted = {splits.profile_of(ps) for ps in pk}
+            _check(
+                records, "packing<=exactP2", emitted <= p2.profile,
+                lhs=sorted(emitted - p2.profile), rhs=None, spec=spec,
+            )
         for k in (2, 3):
             pv = exact.vertex_partition_profile(G, k)
             ov, rep = bounds.ordered_vertex_partitions(G, k)

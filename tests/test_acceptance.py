@@ -112,12 +112,14 @@ def test_05_inequality_suite_100_graphs():
     records = verify_inequalities(seed=0)
     assert len(records) >= 400
     assert all(r["ok"] for r in records), [r for r in records if not r["ok"]][:3]
-    # the suite covers P(G,2) >= ceil(CMC/2), cut-bound <= cmc, path-cut
-    # profiles inside exact profiles, and ordered counts below pi for k=2,3
+    # the suite covers P(G,2) >= ceil(CMC/2), cut-bound <= cmc, path-cut and
+    # feasible packing profiles inside exact profiles, and ordered counts
+    # below pi for k=2,3
     names = {r["check"] for r in records}
     assert "P2>=ceil(CMC/2)" in names
     assert "cut_bound<=cmc" in names
     assert "pathcut<=exactP2" in names
+    assert "packing<=exactP2" in names
     assert "ceil(ordered/3!)<=pi3" in names
 
     # constructive pipelines beyond path-cut: packing and the recursive

@@ -360,8 +360,25 @@ def reference_packing(G, k):
     return trees, G.full_edge_mask() & ~sum(trees)
 
 
+def _shuffled_packing_matches_reference(n, m, k, seed, rng):
+    """Compare spanning_tree_packing with ``reference_packing`` on a random
+    connected graph whose edge ids are shuffled, so that augmentations swap
+    edges across forests.  Returns the reference's trees and leftover."""
+    edges = list(random_connected_graph(n, m, seed=seed).edges)
+    rng.shuffle(edges)
+    G = Graph(n, edges)
+    trees, leftover = reference_packing(G, k)
+    if all(t.bit_count() == n - 1 for t in trees):
+        packing = spanning_tree_packing(G, k, G.full_vertex_mask())
+        assert (packing.trees, packing.leftover) == (trees, leftover), (n, m, k, seed)
+    else:
+        with pytest.raises(PackingInfeasibleError) as exc:
+            spanning_tree_packing(G, k, G.full_vertex_mask())
+        assert exc.value.forests == trees, (n, m, k, seed)
+    return trees, leftover
+
+
 def test_packing_matches_bfs_reference():
-    # edges shuffled so that augmentations swap edges across forests
     rng = random.Random(61)
     outcomes = {True: 0, False: 0}
     for i in range(200):
@@ -369,20 +386,42 @@ def test_packing_matches_bfs_reference():
         k = rng.randint(1, 4)
         lo = max(n - 1, k * (n - 1) - 2)
         m = rng.randint(min(lo, n * (n - 1) // 2), min(k * (n - 1) + n // 2, n * (n - 1) // 2))
-        edges = list(random_connected_graph(n, m, seed=i).edges)
-        rng.shuffle(edges)
-        G = Graph(n, edges)
-        trees, leftover = reference_packing(G, k)
-        feasible = all(t.bit_count() == n - 1 for t in trees)
-        outcomes[feasible] += 1
-        if feasible:
-            packing = spanning_tree_packing(G, k, G.full_vertex_mask())
-            assert (packing.trees, packing.leftover) == (trees, leftover), i
-        else:
-            with pytest.raises(PackingInfeasibleError) as exc:
-                spanning_tree_packing(G, k, G.full_vertex_mask())
-            assert exc.value.forests == trees, i
+        trees, _ = _shuffled_packing_matches_reference(n, m, k, i, rng)
+        outcomes[all(t.bit_count() == n - 1 for t in trees)] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_dense_packing_matches_bfs_reference():
+    # m from k(n-1) + n to 4k(n-1): most edges come after the k trees span,
+    # where the packing stops searching and leaves them over
+    rng = random.Random(63)
+    after = total = 0
+    for i in range(40):
+        k = rng.randint(1, 4)
+        n = rng.randint(2 * k + 3, 20)
+        top = n * (n - 1) // 2
+        m = rng.randint(min(k * (n - 1) + n, top), min(4 * k * (n - 1), top))
+        trees, leftover = _shuffled_packing_matches_reference(n, m, k, 1000 + i, rng)
+        after += (leftover >> sum(trees).bit_length()).bit_count()
+        total += m
+    assert 3 * after > total, (after, total)
+
+
+def test_packing_stops_searching_once_the_trees_span(monkeypatch):
+    # one exchange search (one deque) per edge, up to the edge that
+    # completes the k-th tree and no further
+    started = []
+
+    def counting_deque(items):
+        started.extend(items)
+        return deque(items)
+
+    monkeypatch.setattr(bounds, "deque", counting_deque)
+    G = complete(8)
+    packing = spanning_tree_packing(G, 2, G.full_vertex_mask())
+    last = sum(packing.trees).bit_length() - 1
+    assert last < G.m - 1
+    assert started == list(range(last + 1))
 
 
 def test_packing_partitions_k5():
