@@ -80,7 +80,8 @@ def dense_core(G):
     One queue peel (Matula and Beck 1983), O(n + m) mask operations: the
     queue starts with every vertex below the threshold, and a neighbor whose
     degree drops below it joins the queue.  The threshold is fixed, so what
-    survives does not depend on the order of the peel."""
+    survives does not depend on the order of the peel.  With m >= 1 each
+    survivor has deg >= m/n > 0 alive neighbors: min_degree >= 1, size >= 2."""
     n, m = G.n, G.m
     deg = [nbrs.bit_count() for nbrs in G.neighbor_masks]
     # deg < d/2 = m/n, compared in integers as deg*n < m
@@ -515,14 +516,11 @@ def connected_cut_bound(G, r=2):
     delta = core.min_degree
 
     if r == 2:
-        if n_core == 1:
-            # core is a single vertex: G is a single vertex too (guarded
-            # above), so this only happens for degenerate inputs
-            raise ConstructionFailedError("core has no edges")
+        # n >= 2, so dense_core's delta >= 1 and st_split gets 1 <= s < |bmask|
         blks = blocks(G, H)
         blks.sort(key=lambda bm: (-bm.bit_count(), (bm & -bm).bit_length()))
         bmask = blks[0]
-        parts = st_split(G, bmask, max(1, min((delta + 1) // 2, bmask.bit_count() - 1)))
+        parts = st_split(G, bmask, min((delta + 1) // 2, bmask.bit_count() - 1))
     elif n_core < r:
         # G has at least r vertices (checked above), though its core has not
         parts = _leaf_peel(G, r, G.full_vertex_mask())

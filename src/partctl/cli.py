@@ -80,10 +80,6 @@ def _load_graph(path):
         raise ParseError(f"{path}: cannot read ({exc.strerror or exc})") from exc
 
 
-def _profile_json(profile):
-    return [list(t) for t in sorted(profile, reverse=True)]
-
-
 def _witness_json(witnesses):
     return {
         ",".join(map(str, key)): [list(bits(p)) for p in parts]
@@ -103,7 +99,7 @@ def cmd_exact(args):
             "what": args.what,
             "k": args.k,
             "value": res.value,
-            "profile": _profile_json(res.profile),
+            "profile": sorted(res.profile, reverse=True),
             "witness": _witness_json(res.witnesses),
         }
     else:  # cmc

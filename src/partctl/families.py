@@ -6,6 +6,7 @@ with an explicit integer seed, so fixtures are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .errors import InfeasibleDensityError, OutOfRangeError
@@ -82,17 +83,9 @@ def make_binary_clique_graph(h1, h2):
         edges.add(((v - 1) // 2, v))
     first = 2**h1 - 1
     for root in range(first, 2 * first + 1):
-        sub = [root]
-        i = 0
-        while i < len(sub):
-            v = sub[i]
-            i += 1
-            for c in (2 * v + 1, 2 * v + 2):
-                if c < n:
-                    sub.append(c)
-        for i, u in enumerate(sub):
-            for w in sub[i + 1 :]:
-                edges.add((min(u, w), max(u, w)))
+        # depth d below root holds the ids (root+1)2^d - 1 .. (root+2)2^d - 2
+        sub = [v for d in range(h2 + 1) for v in range((root + 1 << d) - 1, (root + 2 << d) - 1)]
+        edges.update(itertools.combinations(sub, 2))  # sub ascends: each pair is (min, max)
     return Graph(n, sorted(edges))
 
 

@@ -380,8 +380,6 @@ def st_numbering(G, s, t, mask):
         raise NotBiconnectedError("s and t must be two distinct vertices of the mask")
     if blocks(G, mask) != [mask]:
         raise NotBiconnectedError("graph is not 2-connected")
-    if mask.bit_count() == 2:
-        return [s, t]
     preorder, _, parent, low = _lowpoint_dfs(G, mask, s, first=t)
 
     # doubly linked insertion list seeded with [s, t]

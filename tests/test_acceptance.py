@@ -123,8 +123,11 @@ def test_05_inequality_suite_100_graphs():
     assert "ceil(ordered/3!)<=pi3" in names
 
     # constructive pipelines beyond path-cut: packing and the recursive
-    # split family stay inside the exact profiles as well
+    # split family stay inside the exact profiles as well.  The public k = 2
+    # search is seeded with the split family, so that family is checked
+    # against the unseeded search and validated partition by partition.
     from partctl import recursive_k_partitions
+    from partctl.exact import _profile
 
     rng = random.Random(77)
     packing_hits = 0
@@ -133,8 +136,9 @@ def test_05_inequality_suite_100_graphs():
         m = rng.randint(n - 1, n * (n - 1) // 2)
         G = random_connected_graph(n, m, seed=7000 + i)
         exact2 = edge_partition_profile(G, 2, max_edges=45).profile
-        emitted = {profile_of(p) for p in recursive_k_partitions(G, 2)}
-        assert emitted <= exact2
+        split_parts = recursive_k_partitions(G, 2)
+        assert all(validate_edge_partition(G, p, k=2) for p in split_parts)
+        assert {profile_of(p) for p in split_parts} <= _profile(G.edge_adjacency(), G.m, 2, ()).profile
         try:
             parts, _ = packing_partitions(G, 2)
         except PackingInfeasibleError:

@@ -84,11 +84,26 @@ def test_binary_clique_h2_zero_is_binary_tree():
         assert set(G.edges) == {((v - 1) // 2, v) for v in range(1, G.n)}
 
 
+def _binary_clique_edges_by_bfs(h1, h2):
+    """The construction walked out: tree edges down to depth h1, then each
+    depth-h1 subtree, gathered by a queue BFS over heap children, made a clique."""
+    n = 2 ** (h1 + h2 + 1) - 1
+    edges = {((v - 1) // 2, v) for v in range(1, 2 ** (h1 + 1) - 1)}
+    for root in range(2**h1 - 1, 2 ** (h1 + 1) - 1):
+        sub = [root]
+        for v in sub:
+            sub += [c for c in (2 * v + 1, 2 * v + 2) if c < n]
+        edges |= {(min(u, w), max(u, w)) for u in sub for w in sub if u != w}
+    return sorted(edges)
+
+
 def test_binary_clique_formula_larger():
-    for h1, h2 in [(3, 2), (2, 3), (4, 1)]:
-        G = make_binary_clique_graph(h1, h2)
-        assert G.n == 2 ** (h1 + h2 + 1) - 1
-        assert G.m == 2 ** (h1 + 1) - 2 + 2**h1 * math.comb(2 ** (h2 + 1) - 1, 2)
+    for h1 in range(1, 5):
+        for h2 in range(5):
+            G = make_binary_clique_graph(h1, h2)
+            assert G.n == 2 ** (h1 + h2 + 1) - 1
+            assert G.m == 2 ** (h1 + 1) - 2 + 2**h1 * math.comb(2 ** (h2 + 1) - 1, 2)
+            assert list(G.edges) == _binary_clique_edges_by_bfs(h1, h2), (h1, h2)
 
 
 def test_nonmonotone_example():

@@ -162,16 +162,28 @@ def test_st_numbering_random_biconnected():
     from partctl import random_connected_graph
 
     rng = random.Random(5)
-    found = 0
-    while found < 20:
+    k2 = Graph(2, [(0, 1)])
+    cases = [(k2, 0, 1, 0b11), (k2, 1, 0, 0b11)]
+    while len(cases) < 22:
         n = rng.randint(4, 10)
         m = rng.randint(n, n * (n - 1) // 2)
         G = random_connected_graph(n, m, seed=rng.randrange(10**6))
-        if not is_biconnected(G):
-            continue
-        found += 1
-        order = st_numbering(G, 0, n - 1, G.full_vertex_mask())
-        for i in range(1, n):
+        if is_biconnected(G):
+            cases.append((G, 0, n - 1, G.full_vertex_mask()))
+    # every bridge block of sparse seeded graphs, in both orientations
+    for _ in range(30):
+        n = rng.randint(5, 12)
+        G = random_connected_graph(n, rng.randint(n - 1, n + 2), seed=rng.randrange(10**6))
+        for b in blocks(G, G.full_vertex_mask()):
+            if b.bit_count() == 2:
+                u, v = bits(b)
+                cases += [(G, u, v, b), (G, v, u, b)]
+    assert len(cases) >= 100
+    for G, s, t, mask in cases:
+        order = st_numbering(G, s, t, mask)
+        # on a two-vertex block this is order == [s, t]
+        assert order[0] == s and order[-1] == t and sorted(order) == list(bits(mask))
+        for i in range(1, len(order)):
             assert is_connected_vertex_set(G, mask_of(order[:i]))
             assert is_connected_vertex_set(G, mask_of(order[i:]))
 
