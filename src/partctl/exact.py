@@ -27,6 +27,18 @@ the components that hold a rejected element, stopping as soon as there are
 too many, then counts the others only up to k - j + 1.  A dead node holds no
 leaf, so the leaves and their order are those of a full decomposition.
 
+The sibling cut drops the later children of a node at once, in ``cmc``'s copy
+of the search too.  Child i adds b_i to S and inherits ``forb`` plus b_1 ..
+b_{i-1} as rejected.  Its residual is ``comp`` less b_i, so two elements in
+different components of ``comp`` lie in different components of it as well:
+once the rejected elements meet more than k - j components of ``comp``, child
+i fails its component test, and so does every later sibling, as its rejected
+set only grows.  The loop over the children adds the closure in ``comp`` of
+each b_i outside the components it knows to hold a rejected element, and
+returns once there are more than k - j of them.  It tracks them only when
+``comp`` has more than k - j components, as otherwise the cut cannot fire.
+The children it drops are dead, so no leaf, witness or first maximum changes.
+
 A profile search drops a subtree once every key it can reach is witnessed.
 At a node growing part j, the sizes c of the closed parts 1..j-1 are fixed.
 Its children end part j as a connected S' that strictly contains S, and the
@@ -173,27 +185,26 @@ def cut_size(G, parts):
 
 def _count_components(adj, comp, forb, limit):
     """Connected components of ``comp``, counted no further than ``limit + 1``,
-    as ``(count, held)``.  ``held`` is the union of the components that hold an
-    element of ``forb`` (a subset of ``comp``) when exactly ``limit`` of them
-    do, and 0 otherwise.  ``count`` is -1 when more than ``limit`` do."""
+    as ``(count, nheld, held)``: ``held`` is the union of the ``nheld``
+    components that hold an element of ``forb`` (a subset of ``comp``).
+    ``count`` is -1 when more than ``limit`` components hold one."""
     count = 0
     held = 0
     while forb:
         count += 1
         if count > limit:
-            return -1, 0
+            return -1, 0, 0
         c = closure(adj, (forb & -forb).bit_length() - 1, comp)
         held |= c
         comp &= ~c
         forb &= ~c
-    if count < limit:
-        held = 0
+    nheld = count
     while comp:
         count += 1
         if count > limit:
             break
         comp &= ~closure(adj, (comp & -comp).bit_length() - 1, comp)
-    return count, held
+    return count, nheld, held
 
 
 def _connected_partitions(adj, mask, k, leaf, first_missing=None):
@@ -211,7 +222,7 @@ def _connected_partitions(adj, mask, k, leaf, first_missing=None):
     # cap: the most elements part j can end with, leaving one per later part
     def grow(rem, acc, closed, cap, parts_left, S, cand, forb):
         comp = rem & ~S
-        count, held = _count_components(adj, comp, forb, parts_left)
+        count, nheld, held = _count_components(adj, comp, forb, parts_left)
         if count < 0:
             return
         if comp and count <= parts_left:
@@ -223,7 +234,7 @@ def _connected_partitions(adj, mask, k, leaf, first_missing=None):
         if first_missing is not None and avail:
             ssz = S.bit_count()
             # every later part lies in a held component: part j takes the rest
-            lo = ssz + max(1, (comp & ~held).bit_count()) if held else ssz + 1
+            lo = ssz + max(1, (comp & ~held).bit_count()) if nheld == parts_left else ssz + 1
             hi = ssz + (comp & ~forb).bit_count()
             s = first_missing(closed, lo, hi if hi < cap else cap)
             # part j ends inside its reach, which holds at least S and avail
@@ -231,11 +242,17 @@ def _connected_partitions(adj, mask, k, leaf, first_missing=None):
                              s > closure(adj, (S & -S).bit_length() - 1, rem & ~forb).bit_count()):
                 return
         f = forb
+        track = count > parts_left  # the sibling cut (module docstring) can fire
         while avail:
             b = avail & -avail
             grow(rem, acc, closed, cap, parts_left, S | b, cand | adj[b.bit_length() - 1], f)
             avail ^= b
             f |= b
+            if track and not b & held:
+                nheld += 1
+                if nheld > parts_left:
+                    return
+                held |= closure(adj, b.bit_length() - 1, comp)
 
     def descend(rem, acc):
         parts_left = k - 1 - len(acc)
@@ -355,7 +372,7 @@ def cmc(G, r=2, max_vertices=None):
         nonlocal best, witness
         comp = rem & ~S
         parts_left = r - j
-        count, _ = _count_components(nbr, comp, forb, parts_left)
+        count, nheld, held = _count_components(nbr, comp, forb, parts_left)
         if count < 0:
             return
         if comp and count <= parts_left:
@@ -367,6 +384,7 @@ def cmc(G, r=2, max_vertices=None):
                 descend(comp, acc + [S], j + 1, committed + bdry, ub)
         avail = cand & ~forb & comp
         f = forb
+        track = count > parts_left
         while avail:
             b = avail & -avail
             nv = nbr[b.bit_length() - 1]
@@ -377,6 +395,11 @@ def cmc(G, r=2, max_vertices=None):
                      bdry - inner + (nv & comp).bit_count(), sub)
             avail ^= b
             f |= b
+            if track and not b & held:
+                nheld += 1
+                if nheld > parts_left:
+                    return
+                held |= closure(nbr, b.bit_length() - 1, comp)
 
     def descend(rem, acc, j, committed, ub):
         anchor = rem & -rem

@@ -153,23 +153,28 @@ def binary_tree_with_chords(height, chords):
 
 def test_skip_bounds_the_search_nodes_visited(monkeypatch):
     # every search node calls _count_components once; with the size range
-    # bounded by reach and by held components, these visit 1012, 1413, 353 and
-    # 43835 nodes, against 33327, 60971, 5949 and 130053 with the range
-    # |S|+1 .. |S|+|unrejected|
+    # bounded by reach and by held components and the sibling cut, the P cases
+    # visit 143, 175, 79 and 9557 nodes, against 1012, 1399, 339 and 43835
+    # without the cut and 33327, 60971, 5949 and 130053 with neither the cut
+    # nor the range bounds (the range |S|+1 .. |S|+|unrejected|); the pi(G,2)
+    # and cmc(G,2) cases visit 92 and 322 nodes, against 276 and 420 without
+    # the cut
     nodes = []
     count = exact._count_components
     monkeypatch.setattr(exact, "_count_components",
                         lambda *args: nodes.append(1) or count(*args))
     nonmonotone = make_nonmonotone_example()[0]
-    for G, k, most in (
-        (binary_tree_with_chords(5, 0), 2, 1100),
-        (binary_tree_with_chords(5, 16), 2, 1550),
-        (nonmonotone, 2, 400),
-        (nonmonotone, 3, 48000),
+    for solve, G, k, most in (
+        (edge_partition_profile, binary_tree_with_chords(5, 0), 2, 157),
+        (edge_partition_profile, binary_tree_with_chords(5, 16), 2, 192),
+        (edge_partition_profile, nonmonotone, 2, 87),
+        (edge_partition_profile, nonmonotone, 3, 10500),
+        (vertex_partition_profile, random_connected_graph(20, 30, seed=0), 2, 101),
+        (cmc, random_connected_graph(16, 25, seed=0), 2, 354),
     ):
         nodes.clear()
-        edge_partition_profile(G, k, max_edges=G.m)
-        assert len(nodes) <= most, (G.m, k, len(nodes))
+        solve(G, k, G.m)  # m >= n in every case, so G.m lifts the size budget
+        assert len(nodes) <= most, (solve.__name__, G.m, k, len(nodes))
 
 
 def twin_cliques(size, path):

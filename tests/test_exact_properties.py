@@ -315,10 +315,11 @@ def unseeded_partitions(G, r):
 
 
 def test_unreachable_seed_keeps_the_leaves_and_their_order():
-    # rejecting up front what the anchor cannot reach prunes only nodes whose
-    # residual already has too many components, which hold no leaf
+    # rejecting up front what the anchor cannot reach, and the sibling cut,
+    # prune only nodes whose residual already has too many components, which
+    # hold no leaf
     for G in itertools.chain(sparse_graphs(24, 30, 11), graphs(25, 30, 11, 16)):
-        for r in (3, 4):
+        for r in (2, 3, 4):
             if r <= G.n:
                 assert scan_partitions(G, r) == unseeded_partitions(G, r), (
                     G.edges, r)
