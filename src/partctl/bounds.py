@@ -177,7 +177,7 @@ def path_cut_partitions(G):
     cut.sort()
     m_cut = len(cut)
 
-    prefix_edges = list(induced_edge_sets(G, [mask_of(prefix[:r]) for r in range(t + 1)]))
+    prefix_edges = [e for e, _ in induced_edge_sets(G, [mask_of(prefix[:r]) for r in range(t + 1)])]
     outside = G.full_vertex_mask() & ~pset
     reached = 0  # the outside components part 1 holds
     full = G.full_edge_mask()

@@ -356,12 +356,19 @@ def verify_trees(seed=0):
         n = rng.randint(2, 11)
         tseed = seed * 100003 + i
         T = families.random_tree(n, seed=tseed)
+        spec = f"n={n} seed={tseed}"
         fast = splits.tree_exact_P2(T)
         brute = exact.edge_partition_profile(T.graph, 2).profile
         _check(
             records, "tree_exact_P2==brute", fast == brute,
-            lhs=len(fast), rhs=len(brute), spec=f"n={n} seed={tseed}",
+            lhs=len(fast), rhs=len(brute), spec=spec,
         )
+        try:
+            splits.nested_split_sequence(T).check()
+            error = None
+        except ConstructionFailedError as exc:
+            error = str(exc)
+        _check(records, "split_sequence.check", error is None, lhs=error, spec=spec)
     return records
 
 

@@ -180,7 +180,7 @@ class CutWitness:
 
 def cut_size(G, parts):
     """Edges between different parts of a vertex partition: m less each |E(p)|."""
-    return G.m - sum(e.bit_count() for e in induced_edge_sets(G, parts))
+    return G.m - sum(e.bit_count() for e, _ in induced_edge_sets(G, parts))
 
 
 def _count_components(adj, comp, forb, limit):

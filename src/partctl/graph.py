@@ -118,7 +118,7 @@ class Graph:
 
     def edge_set_of_vertices(self, vmask):
         """Edges with both endpoints inside vmask."""
-        return next(induced_edge_sets(self, [vmask]))
+        return next(induced_edge_sets(self, [vmask]))[0]
 
     def induced(self, vmask):
         """Induced subgraph on vmask with relabeled dense ids.
@@ -202,9 +202,9 @@ def bfs_tree(adj, root, mask):
 
 
 def induced_edge_sets(G, vmasks):
-    """Yield E(S), the edges inside S, for each vertex mask S of ``vmasks``
-    at a cost proportional to the vertices that enter or leave S since the
-    previous mask; any sequence works, nested or not.
+    """Yield the pair (E(S), the edges touching S) for each vertex mask S of
+    ``vmasks`` at a cost proportional to the vertices that enter or leave S
+    since the previous mask; any sequence works, nested or not.
 
     ``once`` holds the edges touching S and ``twice`` those inside it.  An
     entering x moves its edges in ``once`` into ``twice``; a leaving x keeps
@@ -222,7 +222,7 @@ def induced_edge_sets(G, vmasks):
             once = (once & ~i) | (twice & i)
             twice &= ~i
         prev = S
-        yield twice
+        yield twice, once
 
 
 def closure(adj, start, mask):

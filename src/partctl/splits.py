@@ -44,14 +44,16 @@ class SplitSequence:
         """Check all four invariants; raises ConstructionFailedError on
         violation (also under ``python -O``).
 
-        A vertex set S of a tree is connected iff it holds |S| - 1 edges, so
-        connectivity is an edge count over ``induced_edge_sets``.  In a graph
-        with cycles a disconnected S can hold that many; ``RootedTree``
-        guarantees a tree.  Later pivots are read off a suffix AND of the Bs.
+        S in a tree is connected iff |E(S)| = |S| - 1 (``RootedTree`` guarantees
+        a tree).  One ``induced_edge_sets`` walk over the Bs yields E(B) and the
+        edges touching B.  Once A and B meet in {v} and cover V, A = V - (B - v),
+        so E(A) is E less the edges touching B - v: those touching B but not v,
+        and those of E(B) at v.  Later pivots are read off a suffix AND of the Bs.
         """
         T = self.tree
         G = T.graph
-        full = G.full_vertex_mask()
+        full, full_e = G.full_vertex_mask(), G.full_edge_mask()
+        inc = G._inc_mask
         items = self.items
         if not items:
             raise ConstructionFailedError("empty split sequence")
@@ -60,13 +62,13 @@ class SplitSequence:
         later = [full] * len(items)  # later[i]: AND of B_j over j > i
         for i in range(len(items) - 1, 0, -1):
             later[i - 1] = later[i] & items[i][1]
-        eAs = induced_edge_sets(G, [A for A, _, _ in items])
-        eBs = induced_edge_sets(G, [B for _, B, _ in items])
-        for i, ((A, B, v), eA, eB) in enumerate(zip(items, eAs, eBs)):
+        walk = induced_edge_sets(G, [B for _, B, _ in items])
+        for i, ((A, B, v), (eB, touch)) in enumerate(zip(items, walk)):
             if A & B != 1 << v:
                 raise ConstructionFailedError(f"A and B of item {i} do not meet in its pivot")
             if A | B != full:
                 raise ConstructionFailedError(f"A and B of item {i} do not cover V")
+            eA = full_e & ~((touch & ~inc[v]) | (eB & inc[v]))
             if eA.bit_count() != A.bit_count() - 1 or eB.bit_count() != B.bit_count() - 1:
                 raise ConstructionFailedError(f"A or B of item {i} is not connected")
             if not (later[i] >> v) & 1:
@@ -142,18 +144,19 @@ def _subtree_sizes(order, parent):
     return sz
 
 
-def _centroid(order, parent):
-    """Vertex of a BFS tree minimizing its largest branch; ties by smallest id."""
-    sz = _subtree_sizes(order, parent)
+def _centroid(order, parent, sz):
+    """Vertex of a BFS tree with subtree sizes ``sz`` minimizing its largest
+    branch; ties by smallest id.  A vertex off the tree (size 0) scores
+    len(order), above every tree vertex."""
     worst = [len(order) - s for s in sz]  # the branch through the parent
     for u in order[1:]:
         worst[parent[u]] = max(worst[parent[u]], sz[u])
-    return min(order, key=lambda v: (worst[v], v))
+    return worst.index(min(worst))
 
 
 def centroid(T):
     """Vertex minimizing the largest component of T - v; ties by smallest id."""
-    return _centroid(T.order, T.parent)
+    return _centroid(T.order, T.parent, _subtree_sizes(T.order, T.parent))
 
 
 def recursive_k_partitions(G, k):
@@ -184,7 +187,7 @@ def _k_partitions(G, vmask, emask, k):
     order, parent, tree = bfs_tree(G.neighbor_masks, root, vmask)
     if k == 2:
         return _split_rows(G, tree, vmask, emask, vmask, root, k)
-    v = _centroid(order, parent)
+    v = _centroid(order, parent, _subtree_sizes(order, parent))
     return _split_rows(G, tree, vmask, emask, _centroid_chunk(tree, vmask, v), v, k)
 
 
@@ -197,7 +200,7 @@ def _split_rows(G, tree, vmask, emask, chunk, v, k):
     ext = vmask & ~chunk
     Bs = [ext | B for _, B, _ in _split_items(tree, chunk, v)]
     out = []
-    for B, e2 in zip(Bs, induced_edge_sets(G, Bs)):
+    for B, (e2, _) in zip(Bs, induced_edge_sets(G, Bs)):
         e1 = emask & ~e2
         if e1 and e2.bit_count() >= k - 1:
             out.extend([e1, *row] for row in _k_partitions(G, B, e2, k - 1))
@@ -269,14 +272,10 @@ def tree_lower_bound_partitions(T):
     full = G.full_vertex_mask()
     sz = _subtree_sizes(T.order, T.parent)
 
-    # Case I: an edge whose removal splits the tree into equal halves
-    half_vertex = -1
-    if n % 2 == 0:
-        for u in range(n):
-            if T.parent[u] >= 0 and 2 * sz[u] == n:
-                half_vertex = u
-                break
-    if half_vertex >= 0:
+    # Case I: an edge whose removal splits the tree into equal halves; the
+    # root's subtree holds all n vertices, so one of n/2 hangs below an edge
+    if n % 2 == 0 and n // 2 in sz:
+        half_vertex = sz.index(n // 2)
         # the subtree below half_vertex is all it reaches without its parent
         above = 1 << T.parent[half_vertex]
         sub_mask = closure(G.neighbor_masks, half_vertex, full & ~above)
@@ -284,7 +283,7 @@ def tree_lower_bound_partitions(T):
 
     # Case II: no edge halves the tree, so its centroid is the unique vertex
     # whose branches all hold fewer than n/2 vertices
-    sink = centroid(T)
+    sink = _centroid(T.order, T.parent, sz)
     comps = components(G, removed=1 << sink)
     comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
     if 3 * comps[0].bit_count() >= n - 1:

@@ -36,7 +36,8 @@ def truncated_sequence():
 
 failures = {}
 for check in (certificates, truncated_sequence,
-              test_splits.test_check_rejects_every_b_not_growing_corruption):
+              test_splits.test_check_rejects_every_b_not_growing_corruption,
+              test_splits.test_check_matches_two_pass_reference):
     try:
         check()
     except BaseException:

@@ -289,6 +289,11 @@ def _edges_inside(G, S):
     return mask_of(ei for ei, (u, v) in enumerate(G.edges) if (S >> u) & 1 and (S >> v) & 1)
 
 
+def _edges_touching(G, S):
+    """The edges with an end in S by a scan over every edge."""
+    return mask_of(ei for ei, (u, v) in enumerate(G.edges) if (S >> u) & 1 or (S >> v) & 1)
+
+
 def _chains(rng, n):
     """Vertex-mask sequences of every shape: nested increasing and decreasing,
     random masks (mixed adds and removes), repeats, and empty masks."""
@@ -306,6 +311,7 @@ def test_induced_edge_sets_match_brute_force():
         n, p = rng.randint(1, 16), rng.choice([0.2, 0.5, 0.9])
         G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         for chain in _chains(rng, n):
-            assert list(induced_edge_sets(G, chain)) == [_edges_inside(G, S) for S in chain]
+            assert list(induced_edge_sets(G, chain)) == [
+                (_edges_inside(G, S), _edges_touching(G, S)) for S in chain]
         S = rng.getrandbits(n)
         assert G.edge_set_of_vertices(S) == _edges_inside(G, S)

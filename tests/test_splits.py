@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -21,7 +22,7 @@ from partctl import (
     validate_edge_partition,
 )
 from partctl.errors import ConstructionFailedError, TooSmallError
-from partctl.graph import bfs_tree, closure
+from partctl.graph import bfs_tree, closure, induced_edge_sets
 from partctl.splits import SplitSequence, _centroid_chunk, _split_items, centroid, profile_of
 
 
@@ -453,6 +454,100 @@ def test_check_rejects_every_b_not_growing_corruption():
 
 def test_b_not_growing_corruptions_rejected_under_python_O(python_O_check):
     python_O_check("test_check_rejects_every_b_not_growing_corruption")
+
+
+def _two_pass_check(T, items):
+    """SplitSequence.check() as it was with one ``induced_edge_sets`` pass over
+    the As and another over the Bs: the reference for the one-walk check."""
+    G = T.graph
+    full = G.full_vertex_mask()
+    if not items:
+        raise ConstructionFailedError("empty split sequence")
+    if items[0][2] != T.root:
+        raise ConstructionFailedError("first pivot is not the root")
+    later = [full] * len(items)
+    for i in range(len(items) - 1, 0, -1):
+        later[i - 1] = later[i] & items[i][1]
+    eAs = (e for e, _ in induced_edge_sets(G, [A for A, _, _ in items]))
+    eBs = (e for e, _ in induced_edge_sets(G, [B for _, B, _ in items]))
+    for i, ((A, B, v), eA, eB) in enumerate(zip(items, eAs, eBs)):
+        if A & B != 1 << v:
+            raise ConstructionFailedError(f"A and B of item {i} do not meet in its pivot")
+        if A | B != full:
+            raise ConstructionFailedError(f"A and B of item {i} do not cover V")
+        if eA.bit_count() != A.bit_count() - 1 or eB.bit_count() != B.bit_count() - 1:
+            raise ConstructionFailedError(f"A or B of item {i} is not connected")
+        if not (later[i] >> v) & 1:
+            raise ConstructionFailedError("earlier pivot missing from later B")
+    for (A1, _, _), (A2, _, _) in zip(items, items[1:]):
+        if A2 & ~A1 or A1 == A2:
+            raise ConstructionFailedError("A sets not strictly decreasing")
+    if len(items) < t_value(G.n) + 1:
+        raise ConstructionFailedError(
+            f"length {len(items)} is below t(n) + 1 = {t_value(G.n) + 1}"
+        )
+
+
+def _verdict(check, T, items):
+    """The message ``check`` rejects ``items`` with, or None if it accepts."""
+    try:
+        check(T, items)
+    except ConstructionFailedError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(rng, T, items):
+    """Seeded corruptions of a valid split sequence: a vertex moved between A
+    and B or dropped from its side, two items swapped, an item duplicated or
+    dropped, a changed pivot, and two of these on top of each other."""
+    n = T.graph.n
+
+    def one(it):
+        i = rng.randrange(len(it))
+        A, B, v = it[i]
+        kind = rng.randrange(5)
+        if kind == 0:
+            bit = 1 << rng.randrange(n)
+            lands = bit if rng.random() < 0.5 else 0  # else the vertex drops out
+            moved = (A | lands, B & ~bit, v) if B & bit else (A & ~bit, B | lands, v)
+            return it[:i] + [moved] + it[i + 1:]
+        if kind == 1:
+            return _swap(it, i, rng.randrange(len(it)))
+        if kind == 2:
+            return it[:i + 1] + it[i:]
+        if kind == 3:
+            return it[:i] + it[i + 1:] or it
+        return it[:i] + [(A, B, rng.randrange(n))] + it[i + 1:]
+
+    return [one(items) for _ in range(12)] + [one(one(items)) for _ in range(6)]
+
+
+def test_check_matches_two_pass_reference():
+    # pytest.fail, not assert: the test also runs under -O
+    rng = random.Random(28)
+    seen = {}
+    for i in range(300):
+        T = random_tree(rng.randint(2, 40), seed=2800 + i)
+        T = RootedTree(T.graph, rng.randrange(T.graph.n))
+        items = nested_split_sequence(T).items
+        for seq in [items] + _corruptions(rng, T, items):
+            want = _verdict(_two_pass_check, T, seq)
+            got = _verdict(lambda T, it: SplitSequence(T, it).check(), T, seq)
+            if got != want:
+                pytest.fail(f"{T.graph.edges} root {T.root} {seq}: {got!r} != {want!r}")
+            kind = want and re.sub(r"\d+", "#", want)
+            seen[kind] = seen.get(kind, 0) + 1
+    kinds = {None, "first pivot is not the root", "A and B of item # do not meet in its pivot",
+             "A and B of item # do not cover V", "A or B of item # is not connected",
+             "earlier pivot missing from later B", "A sets not strictly decreasing",
+             "length # is below t(n) + # = #"}
+    if set(seen) != kinds or min(seen.values()) < 20:
+        pytest.fail(f"verdicts seen: {seen}")
+
+
+def test_check_matches_two_pass_reference_under_python_O(python_O_check):
+    python_O_check("test_check_matches_two_pass_reference")
 
 
 def _tree_lower_bound_reference(T):
