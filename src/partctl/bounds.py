@@ -53,6 +53,7 @@ from .graph import (
     is_connected_edge_set,
     is_connected_vertex_set,
     is_partition,
+    largest_first,
     mask_of,
     st_split,
 )
@@ -75,7 +76,7 @@ class CoreSubgraph:
 
 def dense_core(G):
     """Peel every vertex of degree < d(G)/2 and return the largest connected
-    component of what remains.
+    component of what remains, the first in ``largest_first`` order.
 
     One queue peel (Matula and Beck 1983), O(n + m) mask operations: the
     queue starts with every vertex below the threshold, and a neighbor whose
@@ -95,9 +96,7 @@ def dense_core(G):
                 queue.append(u)
     if not alive:
         raise ConstructionFailedError("peeling emptied the graph")
-    comps = components(G, removed=G.full_vertex_mask() & ~alive)
-    comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
-    core = comps[0]
+    core = largest_first(components(G, removed=G.full_vertex_mask() & ~alive))[0]
     # a survivor's alive neighbors all lie in its own component
     return CoreSubgraph(core, min(deg[v] for v in bits(core)))
 
@@ -517,9 +516,7 @@ def connected_cut_bound(G, r=2):
 
     if r == 2:
         # n >= 2, so dense_core's delta >= 1 and st_split gets 1 <= s < |bmask|
-        blks = blocks(G, H)
-        blks.sort(key=lambda bm: (-bm.bit_count(), (bm & -bm).bit_length()))
-        bmask = blks[0]
+        bmask = largest_first(blocks(G, H))[0]
         parts = st_split(G, bmask, min((delta + 1) // 2, bmask.bit_count() - 1))
     elif n_core < r:
         # G has at least r vertices (checked above), though its core has not
@@ -566,8 +563,8 @@ def _greedy_regions(G, sizes, mask):
         S = mask_of(order[:s])
         parts.append(S)
         remaining &= ~S
-    # the grown parts are connected by construction
-    if remaining == 0 or not is_connected_vertex_set(G, remaining):
+    # grown parts are connected by construction; the sizes sum to |mask|, so remaining != 0
+    if not is_connected_vertex_set(G, remaining):
         return None
     parts.append(remaining)
     return parts

@@ -11,6 +11,7 @@ import argparse
 import bisect
 import functools
 import math
+import random
 import sys
 import time
 from itertools import chain
@@ -237,23 +238,18 @@ def cmd_tree_p2(args):
 # ---------------------------------------------------------------- verify
 
 
-def _check(records, name, ok, lhs=None, rhs=None, spec=None):
-    records.append(
-        {"check": name, "ok": bool(ok), "lhs": lhs, "rhs": rhs, "spec": spec}
-    )
-    return bool(ok)
+def _record(name, ok, lhs=None, rhs=None, spec=None):
+    return {"check": name, "ok": bool(ok), "lhs": lhs, "rhs": rhs, "spec": spec}
 
 
 def verify_t_table(seed=0):
     """t up to 10^6, checked on its runs from ``arith.t_runs``."""
     capacity = 10**6
-    records = []
     runs = arith.t_runs(capacity)
     los = [lo for _, lo, _ in runs]
     vals = [v for v, _, _ in runs]
     tiled = los == [1] + [hi + 1 for _, _, hi in runs[:-1]] and runs[-1][2] == capacity
-    _check(
-        records,
+    yield _record(
         "monotone",
         tiled and all(lo <= hi for _, lo, hi in runs) and vals == sorted(vals),
         spec=f"capacity={capacity}",
@@ -272,8 +268,7 @@ def verify_t_table(seed=0):
     for a, b in zip(cuts, cuts[1:] + [capacity + 1]):
         if t_at(a) != 3 + t_at((a - 2) // 3 + 1):
             bad += range(a, min(b, a + 11))
-    _check(
-        records,
+    yield _record(
         "recurrence-d3",
         bad == [11, 23],
         lhs=bad[:10],
@@ -284,24 +279,20 @@ def verify_t_table(seed=0):
     intervals = [(lo, hi) for _, lo, hi in runs[:-1]]
     wrong = [h for h in range(8, len(intervals)) if intervals[h] != arith.t_preimage_closed_form(h)]
     for h in wrong:
-        _check(records, "closed-form", False, lhs=intervals[h],
-               rhs=arith.t_preimage_closed_form(h), spec=f"h={h}")
+        yield _record("closed-form", False, lhs=intervals[h],
+                      rhs=arith.t_preimage_closed_form(h), spec=f"h={h}")
     if not wrong:
-        _check(records, "closed-form", True, spec=f"h=8..{len(intervals) - 1}")
+        yield _record("closed-form", True, spec=f"h=8..{len(intervals) - 1}")
     ell = 0
     while 10 * 3**ell <= capacity:
         n = 10 * 3**ell
-        _check(records, "anchor", t_at(n) == t_at(10) + 3 * ell,
-               lhs=t_at(n), rhs=t_at(10) + 3 * ell, spec=f"ell={ell}")
+        yield _record("anchor", t_at(n) == t_at(10) + 3 * ell,
+                      lhs=t_at(n), rhs=t_at(10) + 3 * ell, spec=f"ell={ell}")
         ell += 1
-    return records
 
 
 def verify_inequalities(seed=0):
-    import random
-
     rng = random.Random(seed)
-    records = []
     for i in range(100):
         n = rng.randint(4, 10)
         m = rng.randint(n - 1, n * (n - 1) // 2)
@@ -310,48 +301,38 @@ def verify_inequalities(seed=0):
         spec = f"n={n} m={m} seed={gseed}"
         p2 = exact.edge_partition_profile(G, 2, max_edges=45)
         w = exact.cmc(G, r=2)
-        _check(
-            records, "P2>=ceil(CMC/2)", p2.value >= -(-w.cut_size // 2),
+        yield _record(
+            "P2>=ceil(CMC/2)", p2.value >= -(-w.cut_size // 2),
             lhs=p2.value, rhs=-(-w.cut_size // 2), spec=spec,
         )
         cw = bounds.connected_cut_bound(G, r=2)
-        _check(
-            records, "cut_bound<=cmc", cw.cut_size <= w.cut_size,
+        yield _record(
+            "cut_bound<=cmc", cw.cut_size <= w.cut_size,
             lhs=cw.cut_size, rhs=w.cut_size, spec=spec,
         )
-        pc, _ = bounds.path_cut_partitions(G)
-        emitted = {splits.profile_of(ps) for ps in pc}
-        _check(
-            records, "pathcut<=exactP2", emitted <= p2.profile,
-            lhs=sorted(emitted - p2.profile), rhs=None, spec=spec,
-        )
+        two_part = {"pathcut": bounds.path_cut_partitions(G)[0]}
         try:
-            pk, _ = bounds.packing_partitions(G, 2)
+            two_part["packing"] = bounds.packing_partitions(G, 2)[0]
         except PackingInfeasibleError:
             pass
-        else:
-            emitted = {splits.profile_of(ps) for ps in pk}
-            _check(
-                records, "packing<=exactP2", emitted <= p2.profile,
+        for name, parts in two_part.items():
+            emitted = {splits.profile_of(ps) for ps in parts}
+            yield _record(
+                f"{name}<=exactP2", emitted <= p2.profile,
                 lhs=sorted(emitted - p2.profile), rhs=None, spec=spec,
             )
         for k in (2, 3):
             pv = exact.vertex_partition_profile(G, k)
             ov, rep = bounds.ordered_vertex_partitions(G, k)
-            _check(
-                records,
+            yield _record(
                 f"ceil(ordered/{k}!)<=pi{k}",
                 -(-rep.succeeded // math.factorial(k)) <= pv.value,
                 lhs=rep.succeeded, rhs=pv.value, spec=spec,
             )
-    return records
 
 
 def verify_trees(seed=0):
-    import random
-
     rng = random.Random(seed)
-    records = []
     for i in range(200):
         n = rng.randint(2, 11)
         tseed = seed * 100003 + i
@@ -359,8 +340,8 @@ def verify_trees(seed=0):
         spec = f"n={n} seed={tseed}"
         fast = splits.tree_exact_P2(T)
         brute = exact.edge_partition_profile(T.graph, 2).profile
-        _check(
-            records, "tree_exact_P2==brute", fast == brute,
+        yield _record(
+            "tree_exact_P2==brute", fast == brute,
             lhs=len(fast), rhs=len(brute), spec=spec,
         )
         try:
@@ -368,40 +349,35 @@ def verify_trees(seed=0):
             error = None
         except ConstructionFailedError as exc:
             error = str(exc)
-        _check(records, "split_sequence.check", error is None, lhs=error, spec=spec)
-    return records
+        yield _record("split_sequence.check", error is None, lhs=error, spec=spec)
 
 
 def verify_constr_upper(seed=0):
-    records = []
     k = 2
     for h1, h2 in [(1, 1), (2, 1), (1, 2)]:
         G = families.make_binary_clique_graph(h1, h2)
         m_expect = 2 ** (h1 + 1) - 2 + 2**h1 * math.comb(2 ** (h2 + 1) - 1, 2)
-        _check(
-            records, "edge-count", G.m == m_expect,
+        yield _record(
+            "edge-count", G.m == m_expect,
             lhs=G.m, rhs=m_expect, spec=f"h1={h1} h2={h2}",
         )
         res = exact.edge_partition_profile(G, k, max_edges=max(G.m, 40))
         bound = 2 ** (k * k) * sum(
             2 ** (i * (2 * h2 + 1)) * h1 ** (k - 1 - i) for i in range(k)
         )
-        _check(
-            records, "P<=size-choice-bound", res.value <= bound,
+        yield _record(
+            "P<=size-choice-bound", res.value <= bound,
             lhs=res.value, rhs=bound, spec=f"h1={h1} h2={h2} k={k}",
         )
-    return records
 
 
 def verify_erdos_lehner(seed=0):
-    records = []
     for n, k in [(100, 2), (100, 3)]:
         ratio = arith.count_partitions(n, k) / arith.erdos_lehner_estimate(n, k)
-        _check(
-            records, "erdos-lehner-ratio", abs(ratio - 1.0) <= 0.1,
+        yield _record(
+            "erdos-lehner-ratio", abs(ratio - 1.0) <= 0.1,
             lhs=round(ratio, 6), rhs=1.0, spec=f"n={n} k={k}",
         )
-    return records
 
 
 SUITES = {
@@ -415,7 +391,7 @@ SUITES = {
 
 def cmd_verify(args):
     start = time.perf_counter()
-    records = SUITES[args.suite](seed=args.seed)
+    records = list(SUITES[args.suite](seed=args.seed))
     elapsed = time.perf_counter() - start
     failures = [r for r in records if not r["ok"]]
     width = max(len(r["check"]) for r in records)

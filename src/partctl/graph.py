@@ -284,9 +284,14 @@ def components(G, removed=0):
     return mask_components(G.neighbor_masks, G.full_vertex_mask() & ~removed)
 
 
+def largest_first(masks):
+    """``masks`` largest first, ties by smallest contained id: the one order
+    in which every construction picks its component or block."""
+    return sorted(masks, key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
+
+
 def is_connected(G):
-    full = G.full_vertex_mask()
-    return G.n > 0 and closure(G.neighbor_masks, 0, full) == full
+    return G.n > 0 and is_connected_vertex_set(G, G.full_vertex_mask())
 
 
 def min_degree(G):

@@ -20,6 +20,7 @@ from .graph import (
     is_connected,
     is_connected_edge_set,
     is_partition,
+    largest_first,
     mask_components,
 )
 
@@ -97,15 +98,15 @@ def _split_items(tree, mask, v):
     per-vertex tree-neighbor masks; ids are those of ``tree``.
 
     At each level the components of the current subtree minus its root are
-    peeled off one by one (largest component last, ties by smallest contained
-    vertex id); the walk continues inside the largest component, rooted at
-    the root's neighbor there, with everything peeled so far in every B.
+    peeled off one by one: the rest smallest first, then the first of
+    ``largest_first`` (ties by smallest contained vertex id, in both orders);
+    the walk continues inside that largest component, rooted at the root's
+    neighbor there, with everything peeled so far in every B.
     """
     items = []
     ext = 0
     while mask != 1 << v:
-        comps = mask_components(tree, mask & ~(1 << v))
-        comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
+        comps = largest_first(mask_components(tree, mask & ~(1 << v)))
         largest = comps[0]
         rest = sorted(comps[1:], key=lambda c: (c.bit_count(), (c & -c).bit_length()))
         a, b = mask, ext | 1 << v
@@ -152,11 +153,6 @@ def _centroid(order, parent, sz):
     for u in order[1:]:
         worst[parent[u]] = max(worst[parent[u]], sz[u])
     return worst.index(min(worst))
-
-
-def centroid(T):
-    """Vertex minimizing the largest component of T - v; ties by smallest id."""
-    return _centroid(T.order, T.parent, _subtree_sizes(T.order, T.parent))
 
 
 def recursive_k_partitions(G, k):
@@ -207,24 +203,33 @@ def _split_rows(G, tree, vmask, emask, chunk, v, k):
     return out
 
 
+def _chunk_prefix(comps, n):
+    """The union of the shortest prefix of ``comps``, the components of an
+    n-vertex tree minus one vertex in ``largest_first`` order, that holds at
+    least (n - 1)/3 vertices.  Both chunk rules, ``_centroid_chunk``'s and
+    Case II's, choose between it and the rest."""
+    pref = 0
+    for c in comps:
+        pref |= c
+        if 3 * pref.bit_count() >= n - 1:
+            break
+    return pref
+
+
 def _centroid_chunk(tree, mask, v):
     """The chunk of the tree ``mask`` (per-vertex tree-neighbor masks
     ``tree``) around its centroid v that ``recursive_k_partitions`` runs its
-    split sequence in."""
+    split sequence in: the smaller of two components, a largest component
+    that holds n/3 vertices, or else the ``_chunk_prefix`` side or the rest,
+    whichever fits n/2."""
     n = mask.bit_count()
-    comps = mask_components(tree, mask & ~(1 << v))
-    comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
+    comps = largest_first(mask_components(tree, mask & ~(1 << v)))
     if len(comps) == 2:
         sel = comps[1]  # the smaller one
     elif 3 * comps[0].bit_count() >= n:  # one component holds n - 1 >= n/3 too
         sel = comps[0]
     else:
-        sel, s = 0, 0
-        for c in comps:
-            sel |= c
-            s += c.bit_count()
-            if 3 * s >= n - 1:
-                break
+        sel = _chunk_prefix(comps, n)
         other = mask & ~sel & ~(1 << v)
         # prefer the accumulated side; fall back to whichever fits n/2
         if 2 * (sel.bit_count() + 1) > n and 2 * (other.bit_count() + 1) <= n:
@@ -284,24 +289,13 @@ def tree_lower_bound_partitions(T):
     # Case II: no edge halves the tree, so its centroid is the unique vertex
     # whose branches all hold fewer than n/2 vertices
     sink = _centroid(T.order, T.parent, sz)
-    comps = components(G, removed=1 << sink)
-    comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
-    if 3 * comps[0].bit_count() >= n - 1:
-        tmask = comps[0] | (1 << sink)
+    pref = _chunk_prefix(largest_first(components(G, removed=1 << sink)), n)
+    # whichever of the prefix/suffix sides stays at or below ceil(n/2) becomes
+    # the chunk; a prefix of one component always does, as it holds < n/2
+    if 2 * pref.bit_count() < n:
+        tmask = pref | (1 << sink)
     else:
-        # group the largest components until they hold >= (n-1)/3 vertices;
-        # whichever of the prefix/suffix sides stays at or below ceil(n/2)
-        # becomes the chunk holding the split sequence
-        pref, s = 0, 0
-        for c in comps:
-            pref |= c
-            s += c.bit_count()
-            if 3 * s >= n - 1:
-                break
-        if 2 * s < n:
-            tmask = pref | (1 << sink)
-        else:
-            tmask = full & ~pref  # the other components and the sink
+        tmask = full & ~pref  # the other components and the sink
     if 3 * tmask.bit_count() < n - 1:
         raise ConstructionFailedError("Case II chunk too small")
     return _split_rows(G, G.neighbor_masks, full, G.full_edge_mask(), tmask, sink, 2)

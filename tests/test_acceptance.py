@@ -109,7 +109,7 @@ def test_04_oracle_equivalence():
 
 
 def test_05_inequality_suite_100_graphs():
-    records = verify_inequalities(seed=0)
+    records = list(verify_inequalities(seed=0))
     assert len(records) >= 400
     assert all(r["ok"] for r in records), [r for r in records if not r["ok"]][:3]
     # the suite covers P(G,2) >= ceil(CMC/2), cut-bound <= cmc, path-cut and

@@ -646,6 +646,16 @@ def test_cut_bound_below_exact():
             assert w.cut_size <= cmc(G, r).cut_size
 
 
+def test_cut_bound_rejects_a_witness_that_drops_the_outside(monkeypatch):
+    # the core is the whole graph; at r = 2 the parts cover the triangle block,
+    # and the pendant vertex 3 must be attached to one of them
+    G = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    real = bounds._attach_by_table
+    monkeypatch.setattr(bounds, "_attach_by_table", lambda table, parts, outside: real(table, parts, 0))
+    with pytest.raises(ConstructionFailedError, match="^cut witness failed validation$"):
+        connected_cut_bound(G, 2)
+
+
 def test_cut_bound_k5_r3():
     w = connected_cut_bound(complete(5), 3)
     assert validate_vertex_partition(complete(5), w.parts, 3)
@@ -723,6 +733,18 @@ def test_ordered_falls_back_to_leaf_peel():
     assert rep.succeeded == 1
     assert parts == [_leaf_peel(G, 3, G.full_vertex_mask())]
     assert validate_vertex_partition(G, parts[0], 3)
+
+
+def test_ordered_rejects_a_leaf_peel_that_cuts_off_vertices(monkeypatch):
+    # the graph of test_ordered_falls_back_to_leaf_peel; peeling 5, which is no
+    # leaf, leaves 6 and 9 cut off from the rest of the last part
+    G = Graph(12, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (4, 7), (7, 8),
+                   (6, 9), (7, 10), (5, 11), (2, 4), (7, 11), (1, 8), (0, 5), (3, 7),
+                   (5, 8), (8, 10), (5, 9), (1, 4), (1, 7), (3, 10), (4, 11), (3, 5)])
+    monkeypatch.setattr(bounds, "_leaf_peel",
+                        lambda G, r, mask: [1 << 5, 1 << 11, mask & ~(1 << 5 | 1 << 11)])
+    with pytest.raises(ConstructionFailedError, match="^leaf-peel partition failed validation$"):
+        ordered_vertex_partitions(G, 3)
 
 
 def _leaf_peel_reference(H, r):

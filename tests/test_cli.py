@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import partctl
-from partctl import Graph, arith, bounds, cli, families, make_binary_clique_graph, make_nonmonotone_example
+from partctl import Graph, arith, bounds, cli, families, make_binary_clique_graph, make_nonmonotone_example, splits
 from partctl.cli import EXIT_CHECK, SUITES, build_parser, main, _to_json
+from partctl.errors import ConstructionFailedError
 from partctl.graph import read_graph, write_graph
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -326,6 +327,23 @@ def test_verify_t_table_fails_on_perturbed_runs(capsys, monkeypatch, perturb, fa
     records = [line.split() for line in out.splitlines()[:-1]]
     assert code == EXIT_CHECK
     assert {r[0] for r in records if r[1] == "FAIL"} == failing
+
+
+def test_verify_trees_records_a_failing_check(capsys, monkeypatch, tmp_path):
+    def fail(self):
+        raise ConstructionFailedError("forced failure")
+
+    monkeypatch.setattr(splits.SplitSequence, "check", fail)
+    out_file = tmp_path / "trees.json"
+    code, out, _ = run(capsys, "verify", "--suite", "trees", "--out", str(out_file))
+    failed = [line for line in out.splitlines() if line.split()[:2] == ["split_sequence.check", "FAIL"]]
+    checks = [r for r in json.loads(out_file.read_text())["records"]
+              if r["check"] == "split_sequence.check"]
+    # pytest.fail, not assert: CI also runs the tests under python -O
+    if code != EXIT_CHECK or len(failed) != 200 or len(checks) != 200:
+        pytest.fail(f"exit code {code}, {len(failed)} FAIL lines, {len(checks)} records")
+    if any(r["ok"] or r["lhs"] != "forced failure" for r in checks):
+        pytest.fail("a split_sequence.check record does not carry the failure")
 
 
 @pytest.mark.parametrize("name, argv", [

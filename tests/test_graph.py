@@ -156,6 +156,25 @@ def test_st_numbering_rejects_non_biconnected():
         st_numbering(path(3), 0, 2, mask_of(range(3)))
 
 
+# the lowpoint DFS of this graph from 0, 3 first, reaches 2 from 1; hung under
+# 0 instead, 2 is listed in [0, 2, 1, 3] before both its neighbors, and hung
+# under 3 it is listed in [0, 1, 3, 2] after both of them
+@pytest.mark.parametrize("parent_of_2", [0, 3], ids=["no-earlier-neighbor", "no-later-neighbor"])
+def test_st_numbering_rejects_an_order_from_a_wrong_dfs(monkeypatch, parent_of_2):
+    G = Graph(4, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)])
+    real = _lowpoint_dfs
+
+    def wrong_parent(G, mask, root, first=None):
+        preorder, pre, parent, low = real(G, mask, root, first)
+        if first is not None:  # blocks() runs the same DFS, unchanged
+            parent = parent[:2] + [parent_of_2] + parent[3:]
+        return preorder, pre, parent, low
+
+    monkeypatch.setattr("partctl.graph._lowpoint_dfs", wrong_parent)
+    with pytest.raises(NotBiconnectedError, match="^st-numbering failed validation$"):
+        st_numbering(G, 0, 3, G.full_vertex_mask())
+
+
 def test_st_numbering_random_biconnected():
     import random
 

@@ -1,7 +1,9 @@
 """Every module of ``src/partctl`` uses each name it imports, and each name it
 defines at top level, and each method and property of its classes, is read
-somewhere in ``src/``, ``tests/`` or ``perfbench/``.  The package's
-``__init__.py`` is left out: its imports are the public API."""
+somewhere in ``src/``, ``tests/`` or ``perfbench/``; outside the public API it
+must be read in ``src/`` or ``perfbench/``, so that no helper lives in
+``src/`` for the tests alone.  The package's ``__init__.py`` is left out: its
+imports are the public API."""
 
 import ast
 from pathlib import Path
@@ -97,3 +99,48 @@ def test_an_unread_method_fails_the_check(read_anywhere):
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_module_defines_no_unread_name(module, read_anywhere):
     assert unread((SRC / module).read_text(), read_anywhere) == []
+
+
+def public_api():
+    """The names ``__init__.py`` imports: the package's public API."""
+    return {alias.asname or alias.name for node in ast.parse((SRC / "__init__.py").read_text()).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def identifier_strings(source):
+    """Every string constant of ``source`` that is an identifier, such as a
+    name that ``getattr`` looks up."""
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier()}
+
+
+def read_by_tests_alone(source, reads):
+    """(line, name) for each top-level name and class member of ``source``
+    outside the public API whose name is not in ``reads``."""
+    public = public_api()
+    return [(line, name) for line, name in unread(source, reads) if name not in public]
+
+
+@pytest.fixture(scope="module")
+def read_outside_tests():
+    """The names read in ``src/``, and the names and identifier strings of
+    ``perfbench/``, whose tracer looks methods up by name."""
+    texts = [p.read_text() for p in (ROOT / "perfbench").rglob("*.py")]
+    return set().union(*(names_read(p.read_text()) for p in (ROOT / "src").rglob("*.py")),
+                       *(names_read(t) | identifier_strings(t) for t in texts))
+
+
+def test_identifier_strings():
+    assert identifier_strings('x = "induced"\ny = ("a.b", "edge_id", 3)\n') == {"induced", "edge_id"}
+
+
+def test_a_helper_read_only_by_a_test_fails_the_check(read_anywhere, read_outside_tests):
+    source = (SRC / "splits.py").read_text() + "\n\ndef test_only_helper(T):\n    return T\n"
+    test_reads = names_read("from partctl.splits import test_only_helper\ntest_only_helper(None)\n")
+    assert unread(source, read_anywhere | test_reads) == []
+    assert [name for _, name in read_by_tests_alone(source, read_outside_tests)] == ["test_only_helper"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_module_defines_no_name_only_tests_read(module, read_outside_tests):
+    assert read_by_tests_alone((SRC / module).read_text(), read_outside_tests) == []

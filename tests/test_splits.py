@@ -21,9 +21,17 @@ from partctl import (
     tree_lower_bound_partitions,
     validate_edge_partition,
 )
+from partctl import splits
 from partctl.errors import ConstructionFailedError, TooSmallError
 from partctl.graph import bfs_tree, closure, induced_edge_sets
-from partctl.splits import SplitSequence, _centroid_chunk, _split_items, centroid, profile_of
+from partctl.splits import (
+    SplitSequence,
+    _centroid,
+    _centroid_chunk,
+    _split_items,
+    _subtree_sizes,
+    profile_of,
+)
 
 
 def path(n):
@@ -40,6 +48,11 @@ def cycle(n):
 
 def complete(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def centroid(T):
+    """Vertex minimizing the largest component of T - v; ties by smallest id."""
+    return _centroid(T.order, T.parent, _subtree_sizes(T.order, T.parent))
 
 
 def test_split_sequence_single_vertex():
@@ -373,6 +386,20 @@ def test_tree_lower_bound_subset_of_exact():
     exact = tree_exact_P2(T)
     assert len(out) >= t_value(T.graph.n) - 2 == len(exact)
     assert {profile_of(p) for p in out} <= exact
+
+
+def test_check_rejects_an_empty_sequence(monkeypatch):
+    monkeypatch.setattr(splits, "_split_items", lambda tree, mask, v: [])
+    with pytest.raises(ConstructionFailedError, match="^empty split sequence$"):
+        nested_split_sequence(RootedTree(path(4), 0)).check()
+
+
+def test_case_ii_rejects_a_chunk_below_a_third(monkeypatch):
+    # a path of 7 has no halving edge; taken as the sink, its end 0 leaves a
+    # chunk of one vertex
+    monkeypatch.setattr(splits, "_centroid", lambda order, parent, sz: 0)
+    with pytest.raises(ConstructionFailedError, match="^Case II chunk too small$"):
+        tree_lower_bound_partitions(RootedTree(path(7), 0))
 
 
 def test_check_rejects_truncated_sequence_under_python_O(python_O_check):
