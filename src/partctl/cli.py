@@ -393,6 +393,9 @@ def cmd_verify(args):
     start = time.perf_counter()
     records = list(SUITES[args.suite](seed=args.seed))
     elapsed = time.perf_counter() - start
+    if not records:  # a suite that checks nothing must not pass
+        print(f"error: suite {args.suite} yielded no check", file=sys.stderr)
+        return EXIT_CHECK
     failures = [r for r in records if not r["ok"]]
     width = max(len(r["check"]) for r in records)
     for r in records:

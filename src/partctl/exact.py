@@ -5,7 +5,7 @@ A set of edges is connected exactly when it is a connected set of vertices of
 the line graph L(G), so ``P(G, k) = pi(L(G), k)``: both profiles come from one
 enumerator, ``_connected_partitions``, run over an adjacency tuple (per-element
 neighbor bitmasks).  P runs it over ``G.edge_adjacency()``, pi over
-``G.neighbor_masks``; with no ``first_missing`` it is the unpruned scan.
+``G.neighbor_masks``; with no ``open_part`` it is the unpruned scan.
 
 The enumerator grows each connected part by its boundary and forbids every
 element it has rejected, so each connected set is visited exactly once.  Part
@@ -41,37 +41,45 @@ The children it drops are dead, so no leaf, witness or first maximum changes.
 
 A profile search drops a subtree once every key it can reach is witnessed.
 At a node growing part j, the sizes c of the closed parts 1..j-1 are fixed.
-Its children end part j as a connected S' that strictly contains S, and the
-parts_left parts still to open split the other |rem| - |S'| elements.  So
-every key below the node is the sorted c + (s,) + p for s = |S'| and an
-integer partition p of |rem| - s into parts_left positive parts, and the
-skip checks these keys for every s in a range lo..hi that holds all the
-sizes S' can reach:
+Its own leaf or ``descend`` ends part j as S, its children as a connected S'
+that strictly contains S, and the parts_left parts still to open split the
+other |rem| - |S'| elements.  So every key below the node is the sorted
+c + (s,) + p for s = |S'| and an integer partition p of |rem| - s into
+parts_left positive parts; size s is *wanted* while one of these keys is not
+in the profile, which needs s <= |rem| - parts_left.  When ``descend`` opens
+part j, ``open_part(c)`` returns the wanted sizes as bits of an int in a
+one-element list that the caller keeps live: it clears bit s once every key
+of (c, s) is recorded.  The profile only grows, so the wanted set only
+shrinks.  Every node of part j reads the bits inline, with no call:
 
-- s <= |rem| - parts_left, as each later part needs an element of ``rem``.
-- Reach: S' grows from S by elements it has not rejected, so it lies in R,
-  the closure of the anchor in ``rem`` minus the rejected elements, and
-  s <= |R|.
-- Held components: a rejected element ends in a later part, and a later part
-  is connected, so it lies inside one component of ``comp``.  When the
-  components that hold a rejected element number exactly parts_left, each of
-  them holds one later part and no later part lies elsewhere, so S' takes
-  every other component and s >= |S| + |comp outside them|.
-  ``_count_components`` has closed these components already and returns their
-  union.
+- At entry, before the component count: the node's own leaf or ``descend``
+  has size |S|, and each child ends part j with at most |S| plus the
+  unrejected elements of ``comp``.  When no size in that range is wanted the
+  node returns at once; once the profile is full, every node does.
+- After the leaf or ``descend``: s is the least wanted size in a range lo..hi
+  that holds all the sizes S' can reach, and the children are dropped when
+  there is none.  hi is |S| plus the unrejected elements of ``comp``, and:
+  - Reach: S' grows from S by elements it has not rejected, so it lies in R,
+    the closure of the anchor in ``rem`` minus the rejected elements, and
+    s <= |R|.  R costs a closure, so it is computed only when s exceeds
+    |S| + |avail|: avail, the neighbours of S a child may add, lies in R.
+  - Held components: a rejected element ends in a later part, and a later
+    part is connected, so it lies inside one component of ``comp``.  When the
+    components that hold a rejected element number exactly parts_left, each
+    of them holds one later part and no later part lies elsewhere, so S'
+    takes every other component and lo = |S| + |comp outside them|.
+    ``_count_components`` has closed these components already and returns
+    their union.
+- In the child loop: each child rejects one more element than the one
+  before, so hi drops by one per child, and the loop ends once s > hi.  No
+  later child can reach s, and no size below s is wanted any more.
 
-When every key for every s in the range is in the profile the subtree can add
-nothing: the skip is admissible at every level and for every k, and for k=2
-it is a range of part-1 sizes.  R costs a closure, so the search first
-bounds s by |S| plus the unrejected elements of ``comp``, a superset of R,
-asks for the least s in that range whose keys are not all witnessed, and
-computes R only when that s exceeds |S| + |avail|: avail, the neighbours of
-S a child may add, lies in R, so |R| is at least that.  The subtree is
-dropped when there is no such s, or when it exceeds |R| too.  Being
-fully witnessed is monotone, as the profile only grows, so ``_profile``
-remembers the (c, s) pairs found full; for the others it remembers the
-profile size at the last failed check and checks again only once the profile
-has grown.
+Each test drops only subtrees whose keys are all in the profile or that no
+leaf of the subtree reaches, so it is admissible at every level and for
+every k; for k=2 it is a range of part-1 sizes.  ``_profile`` keeps, for each
+(c, s), a scan over its keys that stops at the first one not yet recorded
+and waits on it; when a leaf records that key the scan goes on, and bit s is
+cleared when it runs out.  So each key of each (c, s) is looked up once.
 
 Without seeds every witness is the first partition with its key in
 enumeration order, as in the unpruned scan: a key enters the profile only at
@@ -90,12 +98,12 @@ exact: every seed is a connected partition, so it adds only true keys.  Seeds
 change which partition witnesses a seeded key, so k >= 3 is not seeded.
 
 A prescribed-size query, ``prescribed_partition``, is the same search over a
-vertex mask with one wanted key, the sorted sizes.  Its ``first_missing``
-returns the least size in lo..hi that the target still holds once the closed
-sizes are taken out of it, and None when they are not all in it, and its
-leaf stops the search at the first leaf with the target key.  That leaf is
-the key's first occurrence in enumeration order, for the reason above: the
-search is not seeded, and a dropped subtree holds no leaf with the key.
+vertex mask with one wanted key, the sorted sizes.  Its ``open_part`` returns
+the sizes the target still holds once the closed sizes are taken out of it,
+and no size when they are not all in it, and its leaf stops the search at the
+first leaf with the target key.  That leaf is the key's first occurrence in
+enumeration order, for the reason above: the search is not seeded, and a
+dropped subtree holds no leaf with the key.
 
 ``cmc`` keeps its own copy of the search, as a branch-and-bound, and starts
 each part with the unreachable elements rejected too.  It carries
@@ -170,6 +178,7 @@ class ProfileResult:
         if key not in self.profile:
             self.profile.add(key)
             self.witnesses[key] = list(parts)
+            return key
 
 
 @dataclass
@@ -207,21 +216,29 @@ def _count_components(adj, comp, forb, limit):
     return count, nheld, held
 
 
-def _connected_partitions(adj, mask, k, leaf, first_missing=None):
+def _connected_partitions(adj, mask, k, leaf, open_part=lambda closed: [-1]):
     """Call ``leaf(parts)`` once for every partition of the elements of the
     bitmask ``mask`` into k >= 2 parts that are each connected along ``adj``.
 
-    At a node growing part j, ``closed`` is the descending tuple of the sizes
-    of parts 1..j-1.  When the node's children would end part j with between
-    lo and hi elements, ``first_missing(closed, lo, hi)`` returns the least of
-    those sizes whose keys are not all recorded, or None; the children are
-    dropped with their subtrees when it returns None or a size beyond their
-    reach.
+    When ``descend`` opens part j, it calls ``open_part(closed)`` once, with
+    the descending tuple of the sizes of parts 1..j-1.  The call returns a
+    one-element list whose int has bit s set while some key
+    ``closed + (s,) + p`` is still wanted; the caller keeps it live, clearing
+    bits as those keys are recorded.  The nodes of part j test these bits
+    inline: at entry, before the component count, after their leaf or
+    ``descend``, and in the child loop (module docstring), and drop what can
+    end part j only with sizes no longer wanted.  With no ``open_part`` every
+    size is wanted.
     """
 
-    # cap: the most elements part j can end with, leaving one per later part
-    def grow(rem, acc, closed, cap, parts_left, S, cand, forb):
+    def grow(rem, acc, want, parts_left, S, cand, forb):
         comp = rem & ~S
+        ssz = S.bit_count()
+        hi = ssz + (comp & ~forb).bit_count()
+        # this node's leaf or descend ends part j with ssz elements, each child
+        # with ssz + 1 .. hi
+        if not want[0] >> ssz & (2 << hi - ssz) - 1:
+            return
         count, nheld, held = _count_components(adj, comp, forb, parts_left)
         if count < 0:
             return
@@ -231,23 +248,27 @@ def _connected_partitions(adj, mask, k, leaf, first_missing=None):
             else:
                 descend(comp, acc + [S])
         avail = cand & ~forb & comp
-        if first_missing is not None and avail:
-            ssz = S.bit_count()
-            # every later part lies in a held component: part j takes the rest
-            lo = ssz + max(1, (comp & ~held).bit_count()) if nheld == parts_left else ssz + 1
-            hi = ssz + (comp & ~forb).bit_count()
-            s = first_missing(closed, lo, hi if hi < cap else cap)
-            # part j ends inside its reach, which holds at least S and avail
-            if s is None or (s > ssz + avail.bit_count() and
-                             s > closure(adj, (S & -S).bit_length() - 1, rem & ~forb).bit_count()):
-                return
+        if not avail:
+            return
+        # every later part lies in a held component: part j takes the rest
+        lo = ssz + max(1, (comp & ~held).bit_count()) if nheld == parts_left else ssz + 1
+        w = want[0] >> lo & (2 << hi - lo) - 1  # read after the leaf or descend
+        s = lo + (w & -w).bit_length() - 1  # the least size still wanted
+        # part j ends inside its reach, which holds at least S and avail
+        if not w or (s > ssz + avail.bit_count() and
+                     s > closure(adj, (S & -S).bit_length() - 1, rem & ~forb).bit_count()):
+            return
         f = forb
         track = count > parts_left  # the sibling cut (module docstring) can fire
-        while avail:
+        # child i ends part j with at most hi elements, and hi drops by one per
+        # child; the wanted sizes only shrink, so once s > hi no later child
+        # can add a key
+        while avail and s <= hi:
             b = avail & -avail
-            grow(rem, acc, closed, cap, parts_left, S | b, cand | adj[b.bit_length() - 1], f)
+            grow(rem, acc, want, parts_left, S | b, cand | adj[b.bit_length() - 1], f)
             avail ^= b
             f |= b
+            hi -= 1
             if track and not b & held:
                 nheld += 1
                 if nheld > parts_left:
@@ -255,12 +276,11 @@ def _connected_partitions(adj, mask, k, leaf, first_missing=None):
                 held |= closure(adj, b.bit_length() - 1, comp)
 
     def descend(rem, acc):
-        parts_left = k - 1 - len(acc)
         anchor = rem & -rem
         a = anchor.bit_length() - 1
         # the elements the anchor cannot reach start out rejected
-        grow(rem, acc, profile_of(acc), rem.bit_count() - parts_left, parts_left,
-             anchor, adj[a] & rem, rem & ~closure(adj, a, rem))
+        grow(rem, acc, open_part(profile_of(acc)), k - 1 - len(acc), anchor, adj[a] & rem,
+             rem & ~closure(adj, a, rem))
 
     descend(mask, [])
 
@@ -273,29 +293,35 @@ def _profile(adj, size, k, seeds):
         result.record(parts)
     if not 2 <= k <= size:
         return result
-    profile = result.profile
-    # (closed, s) -> the profile size when a key was last found missing, or -1
-    # once every key is in (final, as the profile only grows)
-    checked = {}
+    states = {}  # closed -> [bits of the sizes s whose keys are not all recorded]
+    waiting = {}  # an unrecorded key -> the (closed, s, key scan) stopped at it
 
-    def first_missing(closed, lo, hi):
-        n = len(profile)
-        for s in range(lo, hi + 1):
-            seen = checked.get((closed, s))
-            if seen == -1:
-                continue
-            if seen == n:
-                return s
-            head = closed + (s,)
-            later = k - len(head)
-            for a in ascending_compositions(size - sum(head) - later, later):
-                if tuple(sorted(head + tuple(1 + x for x in a), reverse=True)) not in profile:
-                    checked[closed, s] = n
-                    return s
-            checked[closed, s] = -1
-        return None
+    def keys_of(head, later):
+        for a in ascending_compositions(size - sum(head) - later, later):
+            yield tuple(sorted(head + tuple(1 + x for x in a), reverse=True))
 
-    _connected_partitions(adj, (1 << size) - 1, k, result.record, first_missing)
+    def scan(closed, s, keys):
+        # stop at the next unrecorded key of (closed, s), or clear bit s
+        for key in keys:
+            if key not in result.profile:
+                waiting.setdefault(key, []).append((closed, s, keys))
+                return
+        states[closed][0] ^= 1 << s
+
+    def open_part(closed):
+        if closed not in states:
+            later = k - len(closed) - 1
+            cap = size - sum(closed) - later
+            states[closed] = [(2 << cap) - 2]
+            for s in range(1, cap + 1):
+                scan(closed, s, keys_of(closed + (s,), later))
+        return states[closed]
+
+    def leaf(parts):
+        for closed, s, keys in waiting.pop(result.record(parts), ()):
+            scan(closed, s, keys)
+
+    _connected_partitions(adj, (1 << size) - 1, k, leaf, open_part)
     return result
 
 
@@ -454,21 +480,21 @@ def prescribed_partition(G, sizes, mask):
         return [mask] if is_connected_vertex_set(G, mask) else None
     target = tuple(sorted(sizes, reverse=True))
 
-    def first_missing(closed, lo, hi):
-        # the sizes still wanted below a node whose closed parts are ``closed``
-        rest = sorted(sizes)
+    def open_part(closed):
+        # the sizes the target still holds once the closed sizes are taken out
+        rest = list(target)
         for c in closed:
             if c not in rest:
-                return None
+                return [0]
             rest.remove(c)
-        return next((s for s in rest if lo <= s <= hi), None)
+        return [sum(1 << s for s in set(rest))]
 
     def leaf(parts):
         if profile_of(parts) == target:
             raise _Found(parts)
 
     try:
-        _connected_partitions(G.neighbor_masks, mask, k, leaf, first_missing)
+        _connected_partitions(G.neighbor_masks, mask, k, leaf, open_part)
     except _Found as found:
         pool = found.args[0]
         return [pool.pop(next(i for i, p in enumerate(pool) if p.bit_count() == s))

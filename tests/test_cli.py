@@ -346,6 +346,20 @@ def test_verify_trees_records_a_failing_check(capsys, monkeypatch, tmp_path):
         pytest.fail("a split_sequence.check record does not carry the failure")
 
 
+def test_verify_fails_a_suite_that_checks_nothing(capsys, monkeypatch, tmp_path):
+    def empty(seed=0):
+        yield from ()
+
+    monkeypatch.setitem(cli.SUITES, "trees", empty)
+    out_file = tmp_path / "trees.json"
+    code, out, err = run(capsys, "verify", "--suite", "trees", "--out", str(out_file))
+    # pytest.fail, not assert: CI also runs the tests under python -O
+    if code != EXIT_CHECK or out or out_file.exists():
+        pytest.fail(f"exit code {code}, stdout {out!r}")
+    if err != "error: suite trees yielded no check\n":
+        pytest.fail(f"stderr {err!r}")
+
+
 @pytest.mark.parametrize("name, argv", [
     ("pathcut", ("--method", "pathcut")),
     ("packing_k2", ("--method", "packing", "--k", "2")),

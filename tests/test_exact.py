@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -126,20 +127,98 @@ def test_disconnected_graph_is_refused(build, message):
 
 def test_skip_bounds_the_leaves_visited(monkeypatch):
     # a skip that fires less keeps every profile exact, so only the work shows
-    # it; unpruned, the three k >= 3 cases visit 50185, 2907 and 1464 leaves
+    # it; unpruned, the three k >= 3 cases visit 50185, 2907 and 1464 leaves,
+    # and before the entry test of each node (no wanted size in its range)
+    # 107, 30 and 39
     leaves = []
     record = ProfileResult.record
     monkeypatch.setattr(ProfileResult, "record",
                         lambda self, parts: leaves.append(parts) or record(self, parts))
     for solve, G, k, most in (
         (edge_partition_profile, make_nonmonotone_example()[0], 2, 20),
-        (edge_partition_profile, random_connected_graph(8, 12, seed=3), 4, 107),
-        (vertex_partition_profile, random_connected_graph(13, 18, seed=3), 3, 30),
-        (vertex_partition_profile, random_connected_graph(12, 16, seed=4), 4, 39),
+        (edge_partition_profile, random_connected_graph(8, 12, seed=3), 4, 23),
+        (vertex_partition_profile, random_connected_graph(13, 18, seed=3), 3, 17),
+        (vertex_partition_profile, random_connected_graph(12, 16, seed=4), 4, 19),
     ):
         leaves.clear()
         solve(G, k)
-        assert len(leaves) <= most, (k, len(leaves))
+        # pytest.fail, not assert: CI also runs the tests under python -O; a
+        # leaf that bypassed ProfileResult.record would pass with no leaves
+        if not leaves or len(leaves) > most:
+            pytest.fail(f"k={k}: {len(leaves)} leaves, bound {most}")
+
+
+def test_prescribed_search_bounds_the_leaves_visited(monkeypatch):
+    # near-equal sizes on sparse graphs, which often cannot meet them: 59 of
+    # the 80 queries find a partition, after 86 leaves in all (112 when each
+    # node still reached its leaf with no wanted size in its range)
+    leaves = []
+    real = exact._connected_partitions
+    monkeypatch.setattr(exact, "_connected_partitions", lambda adj, mask, k, leaf, open_part: real(
+        adj, mask, k, lambda parts: leaves.append(parts) or leaf(parts), open_part))
+    rng = random.Random(7)
+    found = 0
+    for i in range(40):
+        n = rng.randint(7, 12)
+        G = random_connected_graph(n, rng.randint(n - 1, n + 4), seed=i)
+        for k in (3, 4):
+            sizes = [n // k + (j < n % k) for j in range(k)]
+            found += exact.prescribed_partition(G, sizes, G.full_vertex_mask()) is not None
+    # pytest.fail, not assert: CI also runs the tests under python -O
+    if found != 59 or len(leaves) > 94:
+        pytest.fail(f"{found} partitions found after {len(leaves)} leaves")
+
+
+def wanted_sizes(profile, size, k, closed):
+    """The bits s for which some key ``closed + (s,) + p`` of a connected
+    k-partition of ``size`` elements is missing from ``profile``."""
+    later = k - len(closed) - 1
+    rest = size - sum(closed)
+    # what is left of each recorded key that holds the closed sizes
+    tails = [Counter(key) - Counter(closed) for key in profile
+             if not Counter(closed) - Counter(key)]
+    bits = 0
+    for s in range(1, rest + 1):
+        if sum(s in tail for tail in tails) < count_partitions(rest - s, later):
+            bits |= 1 << s
+    return bits
+
+
+def test_open_part_bits_match_the_final_profile(monkeypatch):
+    # each open part's bitmask is kept live as keys are found, so once the
+    # search ends it must equal what the final profile leaves wanted
+    opened = []
+    real = exact._connected_partitions
+
+    def spy(adj, mask, k, leaf, open_part):
+        def capture(closed):
+            want = open_part(closed)
+            opened.append((closed, want))
+            return want
+        return real(adj, mask, k, leaf, capture)
+
+    monkeypatch.setattr(exact, "_connected_partitions", spy)
+    nonmonotone = make_nonmonotone_example()[0]
+    cases = [(edge_partition_profile, nonmonotone, nonmonotone.m, k, nonmonotone.m) for k in (2, 3, 4)]
+    for i, (n, m) in enumerate(((7, 9), (8, 12), (9, 11), (10, 14))):
+        G = random_connected_graph(n, m, seed=i)
+        cases += [(solve, G, size, k, None) for k in (2, 3, 4)
+                  for solve, size in ((edge_partition_profile, G.m), (vertex_partition_profile, G.n))]
+    checked = 0
+    for solve, G, size, k, budget in cases:
+        opened.clear()
+        res = solve(G, k, budget)
+        states = dict(opened)
+        # pytest.fail, not assert: CI also runs the tests under python -O
+        if not states or len(states) != len({id(want) for _, want in opened}):
+            pytest.fail(f"k={k}: not one state per closed tuple")
+        for closed, want in states.items():
+            expect = wanted_sizes(res.profile, size, k, closed)
+            if want[0] != expect:
+                pytest.fail(f"{solve.__name__} k={k} closed={closed}: {want[0]:b}, not {expect:b}")
+            checked += 1
+    if checked < 100:
+        pytest.fail(f"only {checked} states checked")
 
 
 def binary_tree_with_chords(height, chords):
@@ -152,13 +231,15 @@ def binary_tree_with_chords(height, chords):
 
 
 def test_skip_bounds_the_search_nodes_visited(monkeypatch):
-    # every search node calls _count_components once; with the size range
-    # bounded by reach and by held components and the sibling cut, the P cases
-    # visit 143, 175, 79 and 9557 nodes, against 1012, 1399, 339 and 43835
-    # without the cut and 33327, 60971, 5949 and 130053 with neither the cut
-    # nor the range bounds (the range |S|+1 .. |S|+|unrejected|); the pi(G,2)
-    # and cmc(G,2) cases visit 92 and 322 nodes, against 276 and 420 without
-    # the cut
+    # every search node that passes the entry test (some size in its range is
+    # still wanted) calls _count_components once; with the size range bounded
+    # by reach and by held components and the sibling cut, the P cases visit
+    # 143, 175, 79 and 9546 nodes, against 1012, 1399, 339 and 43835 without
+    # the cut and 33327, 60971, 5949 and 130053 with neither the cut nor the
+    # range bounds (the range |S|+1 .. |S|+|unrejected|), and the P(G,3) case
+    # 9557 without the entry test; the pi(G,2) and cmc(G,2) cases visit 78
+    # and 322 nodes, against 92 without the entry test and 276 and 420
+    # without the cut
     nodes = []
     count = exact._count_components
     monkeypatch.setattr(exact, "_count_components",
@@ -169,12 +250,14 @@ def test_skip_bounds_the_search_nodes_visited(monkeypatch):
         (edge_partition_profile, binary_tree_with_chords(5, 16), 2, 192),
         (edge_partition_profile, nonmonotone, 2, 87),
         (edge_partition_profile, nonmonotone, 3, 10500),
-        (vertex_partition_profile, random_connected_graph(20, 30, seed=0), 2, 101),
+        (vertex_partition_profile, random_connected_graph(20, 30, seed=0), 2, 86),
         (cmc, random_connected_graph(16, 25, seed=0), 2, 354),
     ):
         nodes.clear()
         solve(G, k, G.m)  # m >= n in every case, so G.m lifts the size budget
-        assert len(nodes) <= most, (solve.__name__, G.m, k, len(nodes))
+        # pytest.fail, not assert: CI also runs the tests under python -O
+        if len(nodes) > most:
+            pytest.fail(f"{solve.__name__} m={G.m} k={k}: {len(nodes)} nodes, bound {most}")
 
 
 def twin_cliques(size, path):
@@ -237,7 +320,7 @@ def test_vertex_profile_complete_is_partition_count():
 def test_iter_partitions_unique_and_complete():
     G = cycle(5)
     seen = set()
-    scan = []  # the unpruned scan: the enumerator with no first_missing
+    scan = []  # the unpruned scan: the enumerator with no open_part
     exact._connected_partitions(G.neighbor_masks, G.full_vertex_mask(), 2, scan.append)
     for parts in scan:
         key = tuple(sorted(parts))

@@ -59,7 +59,7 @@ def brute_partitions(adj, k):
 
 def scan_partitions(G, r):
     """Every connected vertex partition into r >= 2 parts exactly once, in
-    enumeration order: the search with no ``first_missing``, so unpruned."""
+    enumeration order: the search with no ``open_part``, so unpruned."""
     out = []
     exact._connected_partitions(G.neighbor_masks, G.full_vertex_mask(), r, out.append)
     return out
