@@ -25,7 +25,7 @@ from .errors import (
     PartctlError,
     TooLargeError,
 )
-from .graph import bits, read_graph, write_graph, RootedTree
+from .graph import Graph, bits, read_graph, write_graph, RootedTree
 
 SCHEMA = "partctl/1"
 
@@ -331,6 +331,15 @@ def verify_inequalities(seed=0):
             )
 
 
+def _split_sequence_record(T, spec):
+    try:
+        splits.nested_split_sequence(T).check()
+        error = None
+    except ConstructionFailedError as exc:
+        error = str(exc)
+    return _record("split_sequence.check", error is None, lhs=error, spec=spec)
+
+
 def verify_trees(seed=0):
     rng = random.Random(seed)
     for i in range(200):
@@ -344,12 +353,25 @@ def verify_trees(seed=0):
             "tree_exact_P2==brute", fast == brute,
             lhs=len(fast), rhs=len(brute), spec=spec,
         )
-        try:
-            splits.nested_split_sequence(T).check()
-            error = None
-        except ConstructionFailedError as exc:
-            error = str(exc)
-        yield _record("split_sequence.check", error is None, lhs=error, spec=spec)
+        yield _split_sequence_record(T, spec)
+    # paths and caterpillars with ids shuffled and random roots: the deepest
+    # split walks, several of whose branches are reached through a parent
+    for i in range(20):
+        n = rng.randint(2, 1000)
+        spine = n if i % 2 else rng.randint(1, n)
+        ids = rng.sample(range(n), n)
+        edges = [(ids[j], ids[j + 1]) for j in range(spine - 1)]
+        edges += [(ids[rng.randrange(spine)], ids[j]) for j in range(spine, n)]
+        T = RootedTree(Graph(n, edges), rng.randrange(n))
+        spec = f"{'path' if spine == n else 'caterpillar'} n={n} spine={spine} root={T.root}"
+        yield _split_sequence_record(T, spec)
+        lb = splits.tree_lower_bound_partitions(T)
+        pairs = {splits.profile_of(p) for p in lb}
+        need = arith.t_value(n) - 2
+        yield _record(
+            "tree_lb>=t(n)-2", len(pairs) == len(lb) >= need and pairs <= splits.tree_exact_P2(T),
+            lhs=len(pairs), rhs=need, spec=spec,
+        )
 
 
 def verify_constr_upper(seed=0):

@@ -56,6 +56,8 @@ shrinks.  Every node of part j reads the bits inline, with no call:
   has size |S|, and each child ends part j with at most |S| plus the
   unrejected elements of ``comp``.  When no size in that range is wanted the
   node returns at once; once the profile is full, every node does.
+- At the node's own leaf or ``descend``: it ends part j with |S| elements,
+  so it runs only while |S| is wanted.
 - After the leaf or ``descend``: s is the least wanted size in a range lo..hi
   that holds all the sizes S' can reach, and the children are dropped when
   there is none.  hi is |S| plus the unrejected elements of ``comp``, and:
@@ -225,10 +227,10 @@ def _connected_partitions(adj, mask, k, leaf, open_part=lambda closed: [-1]):
     one-element list whose int has bit s set while some key
     ``closed + (s,) + p`` is still wanted; the caller keeps it live, clearing
     bits as those keys are recorded.  The nodes of part j test these bits
-    inline: at entry, before the component count, after their leaf or
-    ``descend``, and in the child loop (module docstring), and drop what can
-    end part j only with sizes no longer wanted.  With no ``open_part`` every
-    size is wanted.
+    inline: at entry, before the component count, before and after their
+    leaf or ``descend``, and in the child loop (module docstring), and drop
+    what can end part j only with sizes no longer wanted.  With no
+    ``open_part`` every size is wanted.
     """
 
     def grow(rem, acc, want, parts_left, S, cand, forb):
@@ -242,7 +244,7 @@ def _connected_partitions(adj, mask, k, leaf, open_part=lambda closed: [-1]):
         count, nheld, held = _count_components(adj, comp, forb, parts_left)
         if count < 0:
             return
-        if comp and count <= parts_left:
+        if comp and count <= parts_left and want[0] >> ssz & 1:
             if parts_left == 1:
                 leaf(acc + [S, comp])
             else:

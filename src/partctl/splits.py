@@ -15,13 +15,11 @@ from .graph import (
     bfs_tree,
     bits,
     closure,
-    components,
     induced_edge_sets,
     is_connected,
     is_connected_edge_set,
     is_partition,
     largest_first,
-    mask_components,
 )
 
 
@@ -90,23 +88,71 @@ class SplitSequence:
 def nested_split_sequence(T):
     """The nested (A_i, B_i, v_i) sequence of a rooted tree."""
     G = T.graph
-    return SplitSequence(T, _split_items(G.neighbor_masks, G.full_vertex_mask(), T.root))
+    tree, sz = G.neighbor_masks, _subtree_sizes(T.order, T.parent)
+    comps = _branches(tree, sz, G.full_vertex_mask(), T.root)
+    return SplitSequence(T, _split_items(tree, sz, T.root, comps))
 
 
-def _split_items(tree, mask, v):
-    """The split items of the subtree ``mask`` rooted at v, for ``tree`` the
-    per-vertex tree-neighbor masks; ids are those of ``tree``.
+def _branches(tree, sz, mask, v):
+    """The components of ``mask`` - v in ``largest_first`` order, for ``tree``
+    the per-vertex tree-neighbor masks, ``sz`` the subtree sizes of one
+    rooting of the whole tree, and ``mask`` v with some of its whole branches.
 
-    At each level the components of the current subtree minus its root are
-    peeled off one by one: the rest smallest first, then the first of
-    ``largest_first`` (ties by smallest contained vertex id, in both orders);
-    the walk continues inside that largest component, rooted at the root's
-    neighbor there, with everything peeled so far in every B.
+    A neighbor w of v is v's child when sz[w] < sz[v] and then heads a branch
+    of sz[w] vertices; the branch through v's parent holds the rest of the
+    mask.  Every branch but one largest is closed, and that one is what the
+    others leave of ``mask`` - v.  A walk that steps into a largest branch at
+    every level thus closes no more at a level than its mask holds beyond its
+    root and the next level's mask: at most n - 1 vertices in all, each one
+    once unless tied largest branches send the walk into one it closed.
+    """
+    rest = mask & ~(1 << v)
+    heads = tree[v] & rest
+    if not heads & heads - 1:  # one branch or none: the rest of the mask
+        return [rest] if rest else []
+    up, most = rest.bit_count(), 0
+    h = heads
+    while h:
+        b = h & -h
+        h ^= b
+        s = sz[b.bit_length() - 1]
+        if s > sz[v]:
+            p = b
+        else:
+            up -= s
+            if s > most:
+                big, most = b, s
+    if up > most:  # v's parent heads the largest branch
+        big = p
+    comps = []
+    h = heads ^ big
+    while h:
+        b = h & -h
+        h ^= b
+        comps.append(closure(tree, b.bit_length() - 1, rest))
+    comps.append(rest & ~sum(comps))  # the branches are disjoint
+    return largest_first(comps)
+
+
+def _split_items(tree, sz, v, comps):
+    """The split items of the subtree made of v and ``comps``, its branches
+    at v in ``largest_first`` order, for ``tree`` and ``sz`` as in
+    ``_branches``; ids are those of ``tree``.
+
+    At each level the branches of the current subtree at its root are peeled
+    off one by one: the rest smallest first (ties by smallest contained
+    vertex id), then the largest; the walk continues inside that largest
+    branch, rooted at the root's neighbor there, with everything peeled so
+    far in every B.  Each subtree the walk reaches is its root with whole
+    branches of the tree, so ``_branches`` gives the next level's branches
+    without closing a largest one: the walk closes at most n - 1 vertices,
+    O(n) closure steps in all, where closing every branch at every level
+    costs O(n) per level.
     """
     items = []
     ext = 0
-    while mask != 1 << v:
-        comps = largest_first(mask_components(tree, mask & ~(1 << v)))
+    mask = sum(comps, 1 << v)  # the branches are disjoint
+    while comps:
         largest = comps[0]
         rest = sorted(comps[1:], key=lambda c: (c.bit_count(), (c & -c).bit_length()))
         a, b = mask, ext | 1 << v
@@ -117,6 +163,7 @@ def _split_items(tree, mask, v):
         ext |= mask & ~largest
         v = (tree[v] & largest).bit_length() - 1
         mask = largest
+        comps = _branches(tree, sz, mask, v)
     items.append((mask, ext | mask, v))
     return items
 
@@ -138,10 +185,11 @@ def _subtree_sizes(order, parent):
     """Subtree sizes of a BFS tree given by its visit order and parents,
     indexed by vertex id (0 off the tree)."""
     sz = [0] * len(parent)
-    for v in reversed(order):
-        sz[v] += 1
-        if parent[v] >= 0:
-            sz[parent[v]] += sz[v]
+    sz[order[0]] = 1
+    for v in order[:0:-1]:  # every vertex after its children, the root last
+        s = sz[v] + 1
+        sz[v] = s
+        sz[parent[v]] += s
     return sz
 
 
@@ -181,20 +229,23 @@ def _k_partitions(G, vmask, emask, k):
         return [[emask]]
     root = (vmask & -vmask).bit_length() - 1
     order, parent, tree = bfs_tree(G.neighbor_masks, root, vmask)
+    sz = _subtree_sizes(order, parent)
     if k == 2:
-        return _split_rows(G, tree, vmask, emask, vmask, root, k)
-    v = _centroid(order, parent, _subtree_sizes(order, parent))
-    return _split_rows(G, tree, vmask, emask, _centroid_chunk(tree, vmask, v), v, k)
+        return _split_rows(G, tree, sz, vmask, emask, root, _branches(tree, sz, vmask, root), k)
+    v = _centroid(order, parent, sz)
+    return _split_rows(G, tree, sz, vmask, emask, v, _centroid_chunk(tree, sz, vmask, v), k)
 
 
-def _split_rows(G, tree, vmask, emask, chunk, v, k):
+def _split_rows(G, tree, sz, vmask, emask, v, comps, k):
     """The rows of ``_k_partitions(G, vmask, emask, k)`` from the split
-    sequence of the subtree ``chunk`` of ``tree`` (per-vertex tree-neighbor
-    masks) rooted at v: each split's B, with everything outside the chunk,
-    holding at least k - 1 of the edges recurses with k - 1 parts, and the
-    rest of ``emask`` is the first part."""
-    ext = vmask & ~chunk
-    Bs = [ext | B for _, B, _ in _split_items(tree, chunk, v)]
+    sequence of the chunk made of v and ``comps``, its branches at v in the
+    tree ``tree`` with subtree sizes ``sz`` (as in ``_branches``): each
+    split's B, with everything outside the chunk, holding at least k - 1 of
+    the edges recurses with k - 1 parts, and the rest of ``emask`` is the
+    first part."""
+    items = _split_items(tree, sz, v, comps)
+    ext = vmask & ~items[0][0]  # the first A is the whole chunk
+    Bs = [ext | B for _, B, _ in items]
     out = []
     for B, (e2, _) in zip(Bs, induced_edge_sets(G, Bs)):
         e1 = emask & ~e2
@@ -204,37 +255,34 @@ def _split_rows(G, tree, vmask, emask, chunk, v, k):
 
 
 def _chunk_prefix(comps, n):
-    """The union of the shortest prefix of ``comps``, the components of an
-    n-vertex tree minus one vertex in ``largest_first`` order, that holds at
-    least (n - 1)/3 vertices.  Both chunk rules, ``_centroid_chunk``'s and
-    Case II's, choose between it and the rest."""
-    pref = 0
-    for c in comps:
-        pref |= c
-        if 3 * pref.bit_count() >= n - 1:
-            break
-    return pref
+    """The length and vertex count of the shortest prefix of ``comps``, the
+    branches of an n-vertex tree at one vertex in ``largest_first`` order,
+    that holds at least (n - 1)/3 vertices.  Both chunk rules,
+    ``_centroid_chunk``'s and Case II's, choose between it and the rest."""
+    j = s = 0
+    while 3 * s < n - 1:
+        s += comps[j].bit_count()
+        j += 1
+    return j, s
 
 
-def _centroid_chunk(tree, mask, v):
-    """The chunk of the tree ``mask`` (per-vertex tree-neighbor masks
-    ``tree``) around its centroid v that ``recursive_k_partitions`` runs its
-    split sequence in: the smaller of two components, a largest component
-    that holds n/3 vertices, or else the ``_chunk_prefix`` side or the rest,
-    whichever fits n/2."""
+def _centroid_chunk(tree, sz, mask, v):
+    """The branches at its centroid v, largest first, of the chunk of the
+    tree ``mask`` (``tree`` and ``sz`` as in ``_branches``) that
+    ``recursive_k_partitions`` runs its split sequence in: the smaller of two
+    branches, a largest branch that holds n/3 vertices, or else the
+    ``_chunk_prefix`` side or the rest, whichever fits n/2."""
     n = mask.bit_count()
-    comps = largest_first(mask_components(tree, mask & ~(1 << v)))
+    comps = _branches(tree, sz, mask, v)
     if len(comps) == 2:
-        sel = comps[1]  # the smaller one
-    elif 3 * comps[0].bit_count() >= n:  # one component holds n - 1 >= n/3 too
-        sel = comps[0]
-    else:
-        sel = _chunk_prefix(comps, n)
-        other = mask & ~sel & ~(1 << v)
-        # prefer the accumulated side; fall back to whichever fits n/2
-        if 2 * (sel.bit_count() + 1) > n and 2 * (other.bit_count() + 1) <= n:
-            sel = other
-    return sel | 1 << v
+        return comps[1:]  # the smaller one
+    if 3 * comps[0].bit_count() >= n:  # one branch holds n - 1 >= n/3 too
+        return comps[:1]
+    j, s = _chunk_prefix(comps, n)
+    # prefer the prefix side; fall back to the rest if only it fits n/2
+    if 2 * (s + 1) > n and 2 * (n - s) <= n:
+        return comps[j:]
+    return comps[:j]
 
 
 def tree_exact_P2(T):
@@ -274,28 +322,29 @@ def tree_lower_bound_partitions(T):
     n = G.n
     if n < 2:
         return []
-    full = G.full_vertex_mask()
+    tree, full = G.neighbor_masks, G.full_vertex_mask()
     sz = _subtree_sizes(T.order, T.parent)
 
     # Case I: an edge whose removal splits the tree into equal halves; the
     # root's subtree holds all n vertices, so one of n/2 hangs below an edge
     if n % 2 == 0 and n // 2 in sz:
-        half_vertex = sz.index(n // 2)
-        # the subtree below half_vertex is all it reaches without its parent
-        above = 1 << T.parent[half_vertex]
-        sub_mask = closure(G.neighbor_masks, half_vertex, full & ~above)
-        return _split_rows(G, G.neighbor_masks, full, G.full_edge_mask(), sub_mask, half_vertex, 2)
-
-    # Case II: no edge halves the tree, so its centroid is the unique vertex
-    # whose branches all hold fewer than n/2 vertices
-    sink = _centroid(T.order, T.parent, sz)
-    pref = _chunk_prefix(largest_first(components(G, removed=1 << sink)), n)
-    # whichever of the prefix/suffix sides stays at or below ceil(n/2) becomes
-    # the chunk; a prefix of one component always does, as it holds < n/2
-    if 2 * pref.bit_count() < n:
-        tmask = pref | (1 << sink)
+        v = sz.index(n // 2)
+        # the branch through v's parent holds n/2 vertices, more than v's
+        # children together, so it comes first: the chunk is v's subtree
+        comps = _branches(tree, sz, full, v)[1:]
     else:
-        tmask = full & ~pref  # the other components and the sink
-    if 3 * tmask.bit_count() < n - 1:
-        raise ConstructionFailedError("Case II chunk too small")
-    return _split_rows(G, G.neighbor_masks, full, G.full_edge_mask(), tmask, sink, 2)
+        # Case II: no edge halves the tree, so its centroid is the unique
+        # vertex whose branches all hold fewer than n/2 vertices
+        v = _centroid(T.order, T.parent, sz)
+        comps = _branches(tree, sz, full, v)
+        j, s = _chunk_prefix(comps, n)
+        # whichever of the prefix/suffix sides stays at or below ceil(n/2)
+        # becomes the chunk; a prefix of one branch always does, as it holds
+        # < n/2
+        if 2 * s < n:
+            comps, size = comps[:j], s + 1
+        else:
+            comps, size = comps[j:], n - s  # the other branches and the sink
+        if 3 * size < n - 1:
+            raise ConstructionFailedError("Case II chunk too small")
+    return _split_rows(G, tree, sz, full, G.full_edge_mask(), v, comps, 2)

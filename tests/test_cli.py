@@ -340,7 +340,7 @@ def test_verify_trees_records_a_failing_check(capsys, monkeypatch, tmp_path):
     checks = [r for r in json.loads(out_file.read_text())["records"]
               if r["check"] == "split_sequence.check"]
     # pytest.fail, not assert: CI also runs the tests under python -O
-    if code != EXIT_CHECK or len(failed) != 200 or len(checks) != 200:
+    if code != EXIT_CHECK or len(failed) != 220 or len(checks) != 220:
         pytest.fail(f"exit code {code}, {len(failed)} FAIL lines, {len(checks)} records")
     if any(r["ok"] or r["lhs"] != "forced failure" for r in checks):
         pytest.fail("a split_sequence.check record does not carry the failure")

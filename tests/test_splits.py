@@ -21,14 +21,13 @@ from partctl import (
     tree_lower_bound_partitions,
     validate_edge_partition,
 )
-from partctl import splits
+from partctl import graph, splits
 from partctl.errors import ConstructionFailedError, TooSmallError
-from partctl.graph import bfs_tree, closure, induced_edge_sets
+from partctl.graph import bfs_tree, closure, induced_edge_sets, largest_first, mask_components
 from partctl.splits import (
     SplitSequence,
     _centroid,
     _centroid_chunk,
-    _split_items,
     _subtree_sizes,
     profile_of,
 )
@@ -48,6 +47,50 @@ def cycle(n):
 
 def complete(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def caterpillar(n, spine, rng):
+    """A spine path of ``spine`` vertices with each of the other n - spine
+    vertices hung on a random spine vertex, ids shuffled; ``spine`` = n is a
+    path."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = [(ids[j], ids[j + 1]) for j in range(spine - 1)]
+    edges += [(ids[rng.randrange(spine)], ids[j]) for j in range(spine, n)]
+    return Graph(n, edges)
+
+
+def _deep_trees(rng, count, top):
+    """``count`` paths and caterpillars of up to ``top`` vertices, with ids
+    shuffled and random roots: the deep walks, and walks that reach branches
+    through a vertex's parent in the rooting."""
+    out = []
+    for i in range(count):
+        n = rng.randint(2, top)
+        G = caterpillar(n, n if i % 2 else rng.randint(1, n), rng)
+        out.append(RootedTree(G, rng.randrange(n)))
+    return out
+
+
+def _every_branch_items(tree, mask, v):
+    """The split items with every branch closed at every level: the walk
+    before the largest branch was derived from subtree sizes."""
+    items = []
+    ext = 0
+    while mask != 1 << v:
+        comps = largest_first(mask_components(tree, mask & ~(1 << v)))
+        largest = comps[0]
+        rest = sorted(comps[1:], key=lambda c: (c.bit_count(), (c & -c).bit_length()))
+        a, b = mask, ext | 1 << v
+        for c in rest + [largest]:
+            items.append((a, b, v))
+            a &= ~c
+            b |= c
+        ext |= mask & ~largest
+        v = (tree[v] & largest).bit_length() - 1
+        mask = largest
+    items.append((mask, ext | mask, v))
+    return items
 
 
 def centroid(T):
@@ -87,6 +130,58 @@ def test_split_sequence_invariants_random():
         n = rng.randint(2, 120)
         T = random_tree(n, seed=i)
         nested_split_sequence(T).check()
+
+
+def test_split_items_match_every_branch_walk():
+    rng = random.Random(17)
+    trees = [RootedTree(random_tree(n, seed=6000 + i).graph, rng.randrange(n))
+             for i, n in enumerate(rng.randint(1, 119) for _ in range(300))]
+    trees += [RootedTree(path(n), 0) for n in (2, 5, 9, 300)]
+    trees += _deep_trees(rng, 40, 400)
+    for T in trees:
+        G = T.graph
+        want = _every_branch_items(G.neighbor_masks, G.full_vertex_mask(), T.root)
+        assert nested_split_sequence(T).items == want, (G.edges, T.root)
+
+
+def _closed_vertices(monkeypatch):
+    """A one-element list that sums the sizes of the sets ``closure`` returns
+    from now on, called from ``splits`` or inside ``graph`` (as
+    ``mask_components`` does)."""
+    closed = [0]
+    real = graph.closure
+
+    def counting(adj, start, mask):
+        c = real(adj, start, mask)
+        closed[0] += c.bit_count()
+        return c
+
+    monkeypatch.setattr(splits, "closure", counting)
+    monkeypatch.setattr(graph, "closure", counting)
+    return closed
+
+
+def test_split_walks_close_at_most_n_minus_1_vertices(monkeypatch):
+    # pytest.fail, not assert: the test also runs under -O
+    closed = _closed_vertices(monkeypatch)
+    rng = random.Random(19)
+    trees = [RootedTree(random_tree(n, seed=7000 + i).graph, rng.randrange(n))
+             for i, n in enumerate(rng.randint(2, 200) for _ in range(150))]
+    trees += [RootedTree(star(q), rng.randrange(q + 1)) for q in range(2, 40)]
+    trees += _deep_trees(rng, 30, 1000)
+    for T in trees:
+        for build in (nested_split_sequence, tree_lower_bound_partitions):
+            closed[0] = 0
+            build(T)
+            if closed[0] > T.n - 1:
+                pytest.fail(f"{build.__name__} closed {closed[0]} vertices of "
+                            f"{T.graph.edges} rooted at {T.root}")
+    # a path rooted at an end has one branch per level, which is never closed
+    for n in (2, 5, 9, 300, 1100):
+        closed[0] = 0
+        nested_split_sequence(RootedTree(path(n), 0))
+        if closed[0]:
+            pytest.fail(f"path of {n}: {closed[0]} vertices closed")
 
 
 def test_two_partitions_c4():
@@ -167,17 +262,19 @@ def _reference_k_partitions(G, k):
     T = _bfs_spanning_tree(G)
     full = G.full_edge_mask()
     out = []
+    tree, vfull = T.graph.neighbor_masks, T.graph.full_vertex_mask()
     if k == 2:
-        for _, B, _ in nested_split_sequence(T).items:
+        for _, B, _ in _every_branch_items(tree, vfull, 0):
             e2 = _edges_inside(G, B)
             if full & ~e2 and e2:
                 out.append([full & ~e2, e2])
         return out
     v = centroid(T)
-    a1 = _centroid_chunk(T.graph.neighbor_masks, T.graph.full_vertex_mask(), v)
+    a1 = _reference_centroid_chunk(T, v)
     subT, tvmap, _ = T.graph.induced(a1)
-    for _, B_loc, _ in nested_split_sequence(RootedTree(subT, tvmap.index(v))).items:
-        B = G.full_vertex_mask() & ~a1 | mask_of(tvmap[i] for i in bits(B_loc))
+    for _, B_loc, _ in _every_branch_items(subT.neighbor_masks, subT.full_vertex_mask(),
+                                           tvmap.index(v)):
+        B = vfull & ~a1 | mask_of(tvmap[i] for i in bits(B_loc))
         e2 = _edges_inside(G, B)
         e1 = full & ~e2
         if not e1 or e2.bit_count() < k - 1:
@@ -194,9 +291,13 @@ def _reference_k_partitions(G, k):
 
 def test_recursive_k_partitions_match_per_item_reference():
     rng = random.Random(4)
+    graphs = []
     for s in range(40):
         n = rng.randint(4, 16)
-        G = random_connected_graph(n, rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n)), seed=s)
+        graphs.append(random_connected_graph(n, rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n)),
+                                             seed=s))
+    graphs += [T.graph for T in _deep_trees(rng, 16, 24) if T.n >= 4]
+    for G in graphs:
         for k in (2, 3, 4):
             try:
                 want = _reference_k_partitions(G, k)
@@ -278,13 +379,19 @@ def _reference_centroid_chunk(T, v):
 
 
 def test_centroid_chunk_matches_component_reference():
+    # the branch sizes come from T's random root, so a branch through the
+    # centroid's parent is sized by what its children's branches leave
     rng = random.Random(15)
-    for i in range(300):
-        n = rng.randint(2, 40)
-        T = RootedTree(random_tree(n, seed=4000 + i).graph, rng.randrange(n))
+    trees = [RootedTree(random_tree(n, seed=4000 + i).graph, rng.randrange(n))
+             for i, n in enumerate(rng.randint(2, 40) for _ in range(300))]
+    for T in trees + _deep_trees(rng, 40, 200):
         v = centroid(T)
-        got = _centroid_chunk(T.graph.neighbor_masks, T.graph.full_vertex_mask(), v)
-        assert got == _reference_centroid_chunk(T, v), (T.graph.edges, T.root)
+        G = T.graph
+        got = _centroid_chunk(G.neighbor_masks, _subtree_sizes(T.order, T.parent),
+                              G.full_vertex_mask(), v)
+        want = _reference_centroid_chunk(T, v)
+        assert got == largest_first(components(G, removed=G.full_vertex_mask() & ~want | 1 << v))
+        assert sum(got, 1 << v) == want, (G.edges, T.root)
 
 
 def test_recursive_rejects_small():
@@ -389,7 +496,7 @@ def test_tree_lower_bound_subset_of_exact():
 
 
 def test_check_rejects_an_empty_sequence(monkeypatch):
-    monkeypatch.setattr(splits, "_split_items", lambda tree, mask, v: [])
+    monkeypatch.setattr(splits, "_split_items", lambda tree, sz, v, comps: [])
     with pytest.raises(ConstructionFailedError, match="^empty split sequence$"):
         nested_split_sequence(RootedTree(path(4), 0)).check()
 
@@ -601,7 +708,7 @@ def _tree_lower_bound_reference(T):
         chunk = pref | 1 << v if 2 * s < n or pref == comps[0] else G.full_vertex_mask() & ~pref
     full = G.full_edge_mask()
     out = []
-    for A, _, _ in _split_items(G.neighbor_masks, chunk, v):
+    for A, _, _ in _every_branch_items(G.neighbor_masks, chunk, v):
         e1 = _edges_inside(G, A)
         if e1 and full & ~e1:
             out.append([e1, full & ~e1])
@@ -614,5 +721,8 @@ def test_tree_lower_bound_matches_per_split_reference():
         T = random_tree(rng.randint(1, 40), seed=3000 + i)
         T = RootedTree(T.graph, rng.randrange(T.graph.n))
         assert tree_lower_bound_partitions(T) == _tree_lower_bound_reference(T), T.graph.edges
+    for T in _deep_trees(rng, 40, 300):
+        assert tree_lower_bound_partitions(T) == _tree_lower_bound_reference(T), (T.graph.edges,
+                                                                                  T.root)
     for T in (RootedTree(path(6), 2), RootedTree(star(5), 3), make_T_ell(2)):
         assert tree_lower_bound_partitions(T) == _tree_lower_bound_reference(T)
