@@ -44,31 +44,17 @@ def build_t_table(capacity):
 
 
 def t_value(n):
-    """Exact t(n), with no table.
-
-    Up to n = 23 it is read from a literal.  Beyond, it is the h whose
-    closed-form preimage interval holds n: the intervals for h >= 8 tile
-    [24, inf) in order, so a binary search over 8 <= h <= 3 * n.bit_length()
-    finds it in O(log log n) closed-form evaluations of O(log n)-digit
-    integers.
-    """
+    """Exact t(n), with no table: the value of the last run of ``t_runs(n)``,
+    the run that holds n, found in O(log n) steps of the recurrence."""
     if n < 1:
         raise OutOfRangeError(f"n={n} must be positive")
-    if n <= 23:
-        return (0, 1, 2, 3, 3, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7)[n - 1]
-    # the interval of h = 3b, b = n.bit_length(), ends above 3^b > 2^b > n
-    lo, hi = 8, 3 * n.bit_length()
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if t_preimage_closed_form(mid)[1] < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return t_runs(n)[-1][0]
 
 
 def t_preimage_closed_form(h):
-    """Closed-form preimage interval by residue class of h; valid for h >= 8."""
+    """Closed-form preimage interval by residue class of h; valid for h >= 8.
+    A claim about ``t_runs``, checked against it by the ``t-table`` verify
+    suite and the tests, not a lookup path: ``t_value`` reads the runs."""
     if h < 8:
         raise OutOfRangeError("closed forms only apply for h >= 8")
     if h % 3 == 2:  # h = 3k - 1

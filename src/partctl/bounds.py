@@ -508,6 +508,8 @@ def connected_cut_bound(G, r=2):
     connected partition for r >= 3), with outside components re-attached."""
     if not is_connected(G):
         raise DisconnectedError("cut bound needs a connected graph")
+    if r < 1:
+        raise TooSmallError(f"r={r} must be at least 1")
     if G.n < r:
         raise TooSmallError(f"cannot cut {G.n} vertices into {r} parts")
     core = dense_core(G)

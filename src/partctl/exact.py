@@ -101,11 +101,13 @@ change which partition witnesses a seeded key, so k >= 3 is not seeded.
 
 A prescribed-size query, ``prescribed_partition``, is the same search over a
 vertex mask with one wanted key, the sorted sizes.  Its ``open_part`` returns
-the sizes the target still holds once the closed sizes are taken out of it,
-and no size when they are not all in it, and its leaf stops the search at the
-first leaf with the target key.  That leaf is the key's first occurrence in
-enumeration order, for the reason above: the search is not seeded, and a
-dropped subtree holds no leaf with the key.
+the sizes the target still holds once the closed sizes are taken out of it.
+A node closes part j, by its leaf or ``descend``, only while bit |S| is set,
+so every closed size tuple fits the target and the last part's size is the
+one the target has left: every leaf has the target key, and the first one
+stops the search.  That leaf is the key's first occurrence in enumeration
+order, for the reason above: the search is not seeded, and a dropped subtree
+holds no leaf with the key.
 
 ``cmc`` keeps its own copy of the search, as a branch-and-bound, and starts
 each part with the unreachable elements rejected too.  It carries
@@ -379,9 +381,11 @@ def vertex_partition_profile(G, k, max_vertices=None):
 def cmc(G, r=2, max_vertices=None):
     """Connected r-partite maximum cut with a witness partition.
 
-    Raises ``TooSmallError`` when G has fewer than r vertices."""
+    Raises ``TooSmallError`` when r < 1 or G has fewer than r vertices."""
     if not is_connected(G):
         raise DisconnectedError("cmc needs a connected graph")
+    if r < 1:
+        raise TooSmallError(f"r={r} must be at least 1")
     if r == 1:
         return CutWitness([G.full_vertex_mask()], 0)
     budget = (DEFAULT_VERTEX_BUDGET.get(r, FALLBACK_BUDGET)
@@ -483,17 +487,17 @@ def prescribed_partition(G, sizes, mask):
     target = tuple(sorted(sizes, reverse=True))
 
     def open_part(closed):
-        # the sizes the target still holds once the closed sizes are taken out
+        # the sizes the target still holds once the closed sizes are taken out;
+        # a part closes only with a wanted size, so each closed size is in it
         rest = list(target)
         for c in closed:
-            if c not in rest:
-                return [0]
             rest.remove(c)
         return [sum(1 << s for s in set(rest))]
 
     def leaf(parts):
-        if profile_of(parts) == target:
-            raise _Found(parts)
+        # the closed sizes fit the target and the last size is wanted, so it
+        # is the one size the target has left: every leaf has the target key
+        raise _Found(parts)
 
     try:
         _connected_partitions(G.neighbor_masks, mask, k, leaf, open_part)

@@ -381,7 +381,7 @@ def st_numbering(G, s, t, mask):
     subgraph induced by ``mask`` to be 2-connected, with s and t two of its
     vertices.
     """
-    if s == t or not (mask >> s) & (mask >> t) & 1:
+    if s == t or min(s, t) < 0 or not (mask >> s) & (mask >> t) & 1:
         raise NotBiconnectedError("s and t must be two distinct vertices of the mask")
     if blocks(G, mask) != [mask]:
         raise NotBiconnectedError("graph is not 2-connected")

@@ -36,13 +36,7 @@ from partctl.cli import verify_inequalities
 from partctl.errors import PackingInfeasibleError
 from partctl.splits import profile_of
 
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+from graphs import complete, cycle
 
 
 def test_01_nonmonotone_example_exact_profiles():

@@ -96,9 +96,9 @@ def test_closed_form_matches_table():
         t_preimage_closed_form(7)
 
 
-def test_t_value_closed_form_search_matches_table():
-    # from n = 24 on, t_value searches the closed-form intervals; the table
-    # is the reference for every n <= 10^5 and at each interval edge to 10^6
+def test_t_value_matches_table():
+    # t_value reads the last run of t_runs(n); the table is the reference for
+    # every n <= 10^5 and at each run edge to 10^6
     vals = build_t_table(10**6)
     assert [t_value(n) for n in range(1, 10**5 + 1)] == vals[1 : 10**5 + 1]
     for _, lo, hi in t_runs(10**6):
@@ -118,7 +118,6 @@ def test_t_value_builds_no_table(monkeypatch):
         raise AssertionError("t_value built a table")
 
     monkeypatch.setattr(arith, "build_t_table", no_table)
-    monkeypatch.setattr(arith, "t_runs", no_table)
     assert [t_value(n) for n in range(1, 10**4 + 1)] == vals[1:]
     assert t_value(10 * 3**200) == vals[10] + 600
 

@@ -41,21 +41,7 @@ from partctl.exact import prescribed_partition
 from partctl.graph import bfs_tree
 from partctl.splits import profile_of
 
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star(q):
-    return Graph(q + 1, [(0, i) for i in range(1, q + 1)])
+from graphs import complete, cycle, path, star
 
 
 # ------------------------------------------------------------- dense core

@@ -24,23 +24,9 @@ from partctl import (
 )
 from partctl import bounds, exact
 from partctl.errors import DisconnectedError, SizeMismatchError, TooLargeError
-from partctl.exact import ProfileResult, cut_size
+from partctl.exact import cut_size
 
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star(q):
-    return Graph(q + 1, [(0, i) for i in range(1, q + 1)])
+from graphs import complete, cycle, path, star
 
 
 def brute_edge_profile(G, k):
@@ -129,23 +115,42 @@ def test_skip_bounds_the_leaves_visited(monkeypatch):
     # a skip that fires less keeps every profile exact, so only the work shows
     # it; unpruned, the three k >= 3 cases visit 50185, 2907 and 1464 leaves,
     # and before the entry test of each node (no wanted size in its range)
-    # 107, 30 and 39
+    # 107, 30 and 39.  A leaf runs only while its last part's size is wanted,
+    # and at parts_left = 1 each wanted size stands for one unrecorded key, so
+    # every leaf records a key that no seed and no earlier leaf holds: the
+    # leaves number exactly the keys the search adds
     leaves = []
-    record = ProfileResult.record
-    monkeypatch.setattr(ProfileResult, "record",
-                        lambda self, parts: leaves.append(parts) or record(self, parts))
-    for solve, G, k, most in (
-        (edge_partition_profile, make_nonmonotone_example()[0], 2, 20),
-        (edge_partition_profile, random_connected_graph(8, 12, seed=3), 4, 23),
-        (vertex_partition_profile, random_connected_graph(13, 18, seed=3), 3, 17),
-        (vertex_partition_profile, random_connected_graph(12, 16, seed=4), 4, 19),
-    ):
+    real = exact._connected_partitions
+    monkeypatch.setattr(exact, "_connected_partitions", lambda adj, mask, k, leaf, open_part: real(
+        adj, mask, k, lambda parts: leaves.append(parts) or leaf(parts), open_part))
+
+    def check(solve, G, k, want=None):
         leaves.clear()
-        solve(G, k)
-        # pytest.fail, not assert: CI also runs the tests under python -O; a
-        # leaf that bypassed ProfileResult.record would pass with no leaves
-        if not leaves or len(leaves) > most:
-            pytest.fail(f"k={k}: {len(leaves)} leaves, bound {most}")
+        res = solve(G, k, 38)  # a budget of the fixture's 38 edges
+        seeded = solve is edge_partition_profile and k == 2 and G.m >= 2
+        added = res.value - len({profile_of(p) for p in exact._k2_edge_seeds(G)} if seeded else ())
+        # pytest.fail, not assert: CI also runs the tests under python -O
+        if len(leaves) != added or want is not None and added != want:
+            pytest.fail(f"k={k}: {len(leaves)} leaves, {added} keys added, {want} expected")
+
+    G38 = make_nonmonotone_example()[0]
+    check(edge_partition_profile, G38, 2, 0)  # the seeds witness all 8 keys
+    check(edge_partition_profile, G38, 3, 43)
+    check(edge_partition_profile, random_connected_graph(8, 12, seed=3), 4, 15)
+    check(vertex_partition_profile, random_connected_graph(13, 18, seed=3), 3, 14)
+    check(vertex_partition_profile, random_connected_graph(12, 16, seed=4), 4, 15)
+    rng = random.Random(5)
+    for i in range(200):
+        n = rng.randint(4, 11)
+        G = random_connected_graph(n, rng.randint(n - 1, min(n + 5, n * (n - 1) // 2)), seed=i)
+        for k in (2, 3, 4):
+            check(edge_partition_profile, G, k)
+            check(vertex_partition_profile, G, k)
+    # sparse graphs, where the k = 2 seeds leave keys to the search more often
+    # (53 of these 200 searches reach a leaf, 71 leaves in all)
+    for i in range(200):
+        n = rng.randint(8, 20)
+        check(edge_partition_profile, random_connected_graph(n, n - 1 + rng.randint(0, 3), seed=i), 2)
 
 
 def test_prescribed_search_bounds_the_leaves_visited(monkeypatch):
@@ -407,8 +412,8 @@ def test_single_part_is_the_whole_set():
         vp = vertex_partition_profile(G, 1)
         assert vp.profile == {(G.n,)}
         assert vp.witnesses[(G.n,)] == [G.full_vertex_mask()]
-        w = cmc(G, 1)
-        assert (w.parts, w.cut_size) == ([G.full_vertex_mask()], 0)
+        for w in (cmc(G, 1), bounds.connected_cut_bound(G, 1)):
+            assert (w.parts, w.cut_size) == ([G.full_vertex_mask()], 0)
         if G.m:
             ep = edge_partition_profile(G, 1)
             assert ep.profile == {(G.m,)}

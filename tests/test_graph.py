@@ -28,21 +28,7 @@ from partctl.errors import (
 )
 from partctl.graph import _lowpoint_dfs, bfs_tree, induced_edge_sets
 
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star(q):
-    return Graph(q + 1, [(0, i) for i in range(1, q + 1)])
+from graphs import complete, cycle, path, star
 
 
 def test_build_basic():

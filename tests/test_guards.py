@@ -8,6 +8,8 @@ import pytest
 
 from partctl import (
     Graph,
+    cmc,
+    connected_cut_bound,
     dense_core,
     gyori_lovasz,
     is_connected_edge_set,
@@ -27,9 +29,7 @@ from partctl.errors import (
     TooSmallError,
 )
 
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+from graphs import path
 
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -60,6 +60,16 @@ GUARDS = {
     "long_path-empty": (lambda _: long_path(C4, 0), EmptySetError, "empty vertex set"),
     "st_numbering-s-is-t": (lambda _: st_numbering(C4, 2, 2, C4.full_vertex_mask()), NotBiconnectedError,
                             "s and t must be two distinct vertices"),
+    "st_numbering-negative-s": (lambda _: st_numbering(C4, -1, 2, C4.full_vertex_mask()),
+                                NotBiconnectedError, "s and t must be two distinct vertices"),
+    "st_numbering-negative-t": (lambda _: st_numbering(C4, 0, -2, C4.full_vertex_mask()),
+                                NotBiconnectedError, "s and t must be two distinct vertices"),
+    # path(30) is past every vertex budget of cmc: r is refused before the budget
+    "cmc-r0": (lambda _: cmc(path(30), 0), TooSmallError, "r=0 must be at least 1"),
+    "connected_cut_bound-r0": (lambda _: connected_cut_bound(C4, 0), TooSmallError,
+                               "r=0 must be at least 1"),
+    "connected_cut_bound-r-negative": (lambda _: connected_cut_bound(C4, -1), TooSmallError,
+                                       "r=-1 must be at least 1"),
     "read_graph-comments-only": (lambda f: read_graph(io.StringIO(f.read_text())), ParseError,
                                  "empty graph file"),
     "cli-exact-comments-only": (exact_exit, SystemExit, "exit 3: error: empty graph file"),
